@@ -1,4 +1,10 @@
-"""Exact Verblunsky data and quantum-walk dynamics for the Riesz measure."""
+"""Exact Verblunsky data and quantum-walk dynamics for the Riesz measure.
+
+The package namespace holds the exact layer only (``series``, ``riesz``,
+``schur``, ``ansatz``), which is pure Python: importing it never imports
+numpy.  The numeric layer is imported from ``rieszwalk.cmv`` and
+``rieszwalk.walk``.
+"""
 
 from .series import (
     NonzeroConstantTerm,
@@ -12,13 +18,11 @@ from .schur import (
     InsufficientPrecision,
     ParameterOutOfDisk,
     PrecisionExhausted,
-    SchurState,
     cumulative_return_probability,
     extract_verblunsky,
     first_return_series,
     renewal_first_return,
     schur_from_caratheodory,
-    schur_step,
 )
 from .ansatz import (
     IndexDecomposition,
@@ -34,88 +38,36 @@ from .ansatz import (
     nonzero_alpha,
     verify_ansatz,
 )
-from .cmv import (
-    BandedUnitary,
-    CoefficientOutOfDisk,
-    DimensionMismatch,
-    DimensionTooSmall,
-    VerblunskyCoefficient,
-    apply_from_source,
-    build_cmv,
-    spectral_moment,
-    unitarity_defect,
-)
-from .walk import (
-    HADAMARD_COIN,
-    CoinMatrix,
-    NonUnitaryCoin,
-    PositionDistribution,
-    WalkState,
-    ZeroCoin,
-    coined_walk_matrix,
-    constant_coin_schur_coeffs,
-    evolve,
-    first_return_numeric,
-    hadamard_alpha,
-    position_distribution,
-    riesz_walk_matrix,
-    traditional_walk_test,
-)
 
 __all__ = [
-    "BandedUnitary",
-    "CoefficientOutOfDisk",
-    "CoinMatrix",
-    "DimensionMismatch",
-    "DimensionTooSmall",
     "FirstReturnSeries",
-    "HADAMARD_COIN",
     "IndexDecomposition",
     "InsufficientPrecision",
     "LimitFamilies",
     "MeasureVariant",
-    "NonUnitaryCoin",
     "NonzeroConstantTerm",
     "OutOfDomain",
     "ParameterOutOfDisk",
-    "PositionDistribution",
     "PrecisionExhausted",
     "Rational",
-    "SchurState",
     "TruncatedSeries",
-    "VerblunskyCoefficient",
     "VerificationReport",
-    "WalkState",
-    "ZeroCoin",
     "ZeroConstantTerm",
     "alpha",
     "alpha_from_offsets",
-    "apply_from_source",
     "backbone",
     "backbone_constant",
-    "build_cmv",
     "caratheodory_series",
-    "coined_walk_matrix",
-    "constant_coin_schur_coeffs",
     "cumulative_return_probability",
     "decompose_index",
-    "evolve",
     "extract_verblunsky",
-    "first_return_numeric",
     "first_return_series",
-    "hadamard_alpha",
     "limit_values",
     "moment",
     "nonzero_alpha",
-    "position_distribution",
     "renewal_first_return",
-    "riesz_walk_matrix",
     "schur_from_caratheodory",
-    "schur_step",
     "signed_quartic_digits",
-    "spectral_moment",
-    "traditional_walk_test",
-    "unitarity_defect",
     "verify_ansatz",
 ]
 

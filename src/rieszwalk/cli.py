@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure (a cross-check found a
 mismatch), 2 usage or input error.  Exact rationals are printed as
 num/den strings unless --float is given; floats use the shortest
 round-tripping decimal.  Identical invocations produce byte-identical
-output, and files are written atomically.
+output, and files are written atomically.  The numeric modules, and so
+numpy, are imported only by the commands that use them.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import ansatz, walk
-from .cmv import BandedUnitary, build_cmv
+from . import ansatz
 from .riesz import MeasureVariant, caratheodory_series, moment
 from .schur import (
     cumulative_return_probability,
@@ -27,10 +27,14 @@ from .schur import (
     schur_from_caratheodory,
 )
 
+if TYPE_CHECKING:
+    from . import walk
+    from .cmv import BandedUnitary
+
 DISCREPANCY_LIMIT = 1e-8
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad input that argparse cannot catch itself; exits with code 2."""
 
 
@@ -91,7 +95,13 @@ def _real_or_complex(z: complex):
 
 
 def parse_coin_file(path: str) -> list[walk.CoinMatrix]:
-    """One coin per non-empty line: "re,im re,im re,im re,im" for c11 c12 c21 c22."""
+    """One coin per non-empty line: "re,im re,im re,im re,im" for c11 c12 c21 c22.
+
+    Every line becomes a ``walk.CoinMatrix``, which rejects a non-unitary or
+    non-finite coin, so every line is checked, used by the walk or not.
+    """
+    from . import walk
+
     coins = []
     try:
         with open(path, "r") as handle:
@@ -105,25 +115,22 @@ def parse_coin_file(path: str) -> list[walk.CoinMatrix]:
         fields = line.split()
         if len(fields) != 4:
             raise InputError(f"coin file line {lineno}: expected 4 entries")
-        entries = []
-        for f in fields:
-            parts = f.split(",")
+        pairs = [f.split(",") for f in fields]
+        for f, parts in zip(fields, pairs):
             if len(parts) != 2:
                 raise InputError(f"coin file line {lineno}: entry {f!r} is not re,im")
-            try:
-                entries.append(complex(float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise InputError(f"coin file line {lineno}: {exc}") from exc
-        coin = walk.CoinMatrix(*entries)
-        if coin.unitarity_error() > 1e-12:
-            raise InputError(f"coin file line {lineno}: coin is not unitary")
-        coins.append(coin)
+        try:
+            coins.append(walk.CoinMatrix(*(complex(float(x), float(y)) for x, y in pairs)))
+        except ValueError as exc:  # an entry is not a number, or the coin is not unitary
+            raise InputError(f"coin file line {lineno}: {exc}") from exc
     if not coins:
         raise InputError("coin file contains no coins")
     return coins
 
 
 def _walk_matrix(coin: str, dim: int) -> BandedUnitary:
+    from . import walk
+
     if coin == "riesz":
         return walk.riesz_walk_matrix(dim)
     if coin == "hadamard":
@@ -138,9 +145,16 @@ def _walk_matrix(coin: str, dim: int) -> BandedUnitary:
 
 
 def _cmv_matrix(coin: str, dim: int) -> BandedUnitary:
+    from . import cmv, walk
+
     if coin == "hadamard":
-        return build_cmv(walk.hadamard_alpha(dim), dim)
+        return cmv.build_cmv(walk.hadamard_alpha(dim), dim)
     return _walk_matrix(coin, dim)
+
+
+def _write_matrix(matrix: BandedUnitary, args) -> None:
+    rows = [[r, c, v.real, v.imag] for r, c, v in matrix.nonzero_entries()]
+    write_table(["row", "col", "real", "imag"], rows, args)
 
 
 def cmd_moments(args) -> int:
@@ -162,23 +176,20 @@ def cmd_verblunsky(args) -> int:
         rows = [[index_of(m), ansatz.nonzero_alpha(m)] for m in range(1, count + 1)]
         write_table(["index", "alpha"], rows, args)
         return 0
-    G = caratheodory_series(count + 1, MeasureVariant.NU)
-    schur_values = extract_verblunsky(G, count)
     if args.method == "schur":
+        G = caratheodory_series(count + 1, MeasureVariant.NU)
+        schur_values = extract_verblunsky(G, count)
         rows = [[index_of(m), schur_values[m - 1]] for m in range(1, count + 1)]
         write_table(["index", "alpha"], rows, args)
         return 0
-    rows = []
-    first_bad: Optional[int] = None
-    for m in range(1, count + 1):
-        a = ansatz.nonzero_alpha(m)
-        s = schur_values[m - 1]
-        rows.append([index_of(m), a, s, a == s])
-        if a != s and first_bad is None:
-            first_bad = index_of(m)
+    report = ansatz.verify_ansatz(count)
+    rows = [
+        [index_of(m), a, s, a == s]
+        for m, (a, s) in enumerate(zip(report.ansatz_values, report.schur_values), 1)
+    ]
     write_table(["index", "alpha_ansatz", "alpha_schur", "equal"], rows, args)
-    if first_bad is not None:
-        print(f"mismatch at index {first_bad}", file=sys.stderr)
+    if not report.ok:
+        print(f"mismatch at index {index_of(report.first_mismatch)}", file=sys.stderr)
         return 1
     return 0
 
@@ -201,12 +212,13 @@ def cmd_limits(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    from . import walk
+
     steps = args.steps
     dim = 2 * steps + 8
     matrix = _walk_matrix(args.coin, dim)
     if args.emit == "matrix":
-        rows = [[r, c, v.real, v.imag] for r, c, v in matrix.nonzero_entries()]
-        write_table(["row", "col", "real", "imag"], rows, args)
+        _write_matrix(matrix, args)
         return 0
     if args.emit == "norm-trace":
         state = walk.WalkState.origin_up(dim)
@@ -238,6 +250,8 @@ def cmd_first_return(args) -> int:
         cumulative = cumulative_return_probability(series)
     numeric = None
     if args.method in ("numeric", "both"):
+        from . import walk
+
         matrix = _walk_matrix(args.coin, 2 * max_n + 8)
         numeric = walk.first_return_numeric(matrix, max_n)
     if args.method == "exact":
@@ -268,9 +282,7 @@ def cmd_first_return(args) -> int:
 
 
 def cmd_cmv(args) -> int:
-    matrix = _cmv_matrix(args.coin, args.dim)
-    rows = [[r, c, v.real, v.imag] for r, c, v in matrix.nonzero_entries()]
-    write_table(["row", "col", "real", "imag"], rows, args)
+    _write_matrix(_cmv_matrix(args.coin, args.dim), args)
     return 0
 
 
@@ -350,9 +362,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -57,8 +57,9 @@ class VerblunskyCoefficient:
             return
         z = complex(value)
         mag2 = z.real * z.real + z.imag * z.imag
-        if mag2 >= 1.0:
-            raise CoefficientOutOfDisk(f"|{z}| >= 1")
+        # Written so that NaN, which compares False, is rejected too.
+        if not (mag2 < 1.0):
+            raise CoefficientOutOfDisk(f"{z} is not inside the unit disk")
         self.rho = math.sqrt(1.0 - mag2)
         self.value = z
 

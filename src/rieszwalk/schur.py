@@ -42,15 +42,6 @@ class InsufficientPrecision(ValueError):
 
 
 @dataclass(frozen=True)
-class SchurState:
-    """Iterate of the Schur algorithm after ``step`` parameter extractions."""
-
-    current: TruncatedSeries
-    step: int = 0
-    extracted: tuple[Fraction, ...] = ()
-
-
-@dataclass(frozen=True)
 class FirstReturnSeries:
     """Amplitudes of first return in exactly n steps, n = 1, 2, ...
 
@@ -77,22 +68,6 @@ def schur_from_caratheodory(F: TruncatedSeries) -> TruncatedSeries:
     return (numerator * denominator.reciprocal()).shift_down()
 
 
-def schur_step(state: SchurState) -> SchurState:
-    """One Schur iteration: strip the constant term, Moebius-shift, divide by z."""
-    f = state.current
-    if f.valid_order < 1:
-        raise PrecisionExhausted(
-            f"valid_order {f.valid_order} at step {state.step}: cannot step again"
-        )
-    alpha = f.coefficient(0)
-    if abs(alpha) >= 1:
-        raise ParameterOutOfDisk(f"|alpha_{state.step}| = |{alpha}| >= 1")
-    numerator = f.add_constant(-alpha)
-    denominator = f.scale(-alpha).add_constant(1)
-    nxt = (numerator * denominator.reciprocal()).shift_down()
-    return SchurState(nxt, state.step + 1, state.extracted + (alpha,))
-
-
 def _fraction_free_start(F: TruncatedSeries, length: int) -> tuple[list[int], list[int]]:
     """Integer numerator/denominator polynomials of f through ``length`` orders."""
     p_frac = [F.coefficient(k) for k in range(1, length + 1)]
@@ -109,10 +84,12 @@ def _fraction_free_start(F: TruncatedSeries, length: int) -> tuple[list[int], li
 def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
     """First ``count`` Verblunsky parameters of the measure behind F, exactly.
 
-    Equivalent to iterating schur_step ``count`` times, but carries the
-    iterate as a ratio of two integer-coefficient polynomials: each step is
-    then a linear combination plus a shift instead of a series reciprocal.
-    The test suite pins the two routes to bit-identical results.
+    Equivalent to iterating the Schur step (strip the constant term,
+    Moebius-shift, divide by z) on the series ``count`` times, but carries
+    the iterate as a ratio of two integer-coefficient polynomials: each step
+    is then a linear combination plus a shift instead of a series
+    reciprocal.  ``tests/test_schur.py`` keeps the series stepper as an
+    oracle and pins the two routes to bit-identical results.
     """
     if count < 0:
         raise ValueError("count must be >= 0")

@@ -41,15 +41,24 @@ class ZeroCoin(ValueError):
 
 @dataclass(frozen=True)
 class CoinMatrix:
+    """A 2x2 coin, unitary to within 1e-12; construction rejects any other."""
+
     c11: complex
     c12: complex
     c21: complex
     c22: complex
 
+    def __post_init__(self):
+        err = self.unitarity_error()
+        # Written so that a NaN error (a non-finite entry) is rejected too.
+        if not (err <= 1e-12):
+            raise NonUnitaryCoin(f"coin is not unitary (error {err:.3g})")
+
     def unitarity_error(self) -> float:
         """Max deviation of coin^H coin from the identity."""
         c = np.array([[self.c11, self.c12], [self.c21, self.c22]], dtype=complex)
-        return float(np.max(np.abs(c.conj().T @ c - np.eye(2))))
+        with np.errstate(all="ignore"):  # a non-finite entry gives inf or NaN
+            return float(np.max(np.abs(c.conj().T @ c - np.eye(2))))
 
 
 HADAMARD_COIN = CoinMatrix(
@@ -75,9 +84,6 @@ def coined_walk_matrix(
         per_site = list(coins[:sites])
         if len(per_site) < sites:
             raise ValueError(f"need at least {sites} coins, got {len(per_site)}")
-    for i, c in enumerate(per_site):
-        if c.unitarity_error() > 1e-12:
-            raise NonUnitaryCoin(f"coin at site {i} is not unitary")
 
     bands = np.zeros((5, dim), dtype=complex)
 

@@ -254,14 +254,37 @@ def test_coin_file_matches_builtin(capsys, tmp_path):
         "1,0 0,0 0,0 2,0\n",               # not unitary
         "a,b c,d e,f g,h\n",               # not numbers
         "1,0 0,0 0;0 1,0\n",               # malformed pair
+        "nan,0 0,0 0,0 1,0\n",             # not finite
+        "inf,0 0,0 0,0 1,0\n",             # not finite
+        "0,nan 0,0 0,0 1,0\n",             # not finite
+        pytest.param(HADAMARD_LINE * 30 + "1,0 0,0 0,0 2,0\n", id="bad-line-after-used-coins"),
     ],
 )
 def test_malformed_coin_file(capsys, tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_text(content * 12)
-    code, _, err = run(capsys, "walk", "--coin", f"file:{path}", "--steps", "4")
+    code, out, err = run(capsys, "walk", "--coin", f"file:{path}", "--steps", "4")
     assert code == 2
     assert err
+    assert out == ""
+
+
+def test_exact_commands_skip_numpy():
+    script = """
+import sys
+import rieszwalk
+import rieszwalk.cli
+for argv in (
+    ["moments", "--max", "8"],
+    ["verblunsky", "--count", "4", "--method", "both"],
+    ["backbone", "--count", "3"],
+    ["limits", "--count", "3"],
+):
+    assert rieszwalk.cli.main(argv) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_coin_file_too_short(capsys, tmp_path):
@@ -310,11 +333,11 @@ def test_verblunsky_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_first_return_discrepancy_exits_1(capsys, monkeypatch):
-    import rieszwalk.cli as cli_module
+    import rieszwalk.walk
 
-    real = cli_module.walk.first_return_numeric
+    real = rieszwalk.walk.first_return_numeric
     monkeypatch.setattr(
-        cli_module.walk,
+        rieszwalk.walk,
         "first_return_numeric",
         lambda m, n: real(m, n) + 1e-6,
     )

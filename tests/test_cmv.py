@@ -54,7 +54,10 @@ def test_coefficient_identity_holds():
         assert abs(abs(c.value) ** 2 + c.rho**2 - 1) <= 1e-14
 
 
-@pytest.mark.parametrize("bad", [1, -1, 1.5, F(7, 7), 0.6 + 0.9j])
+@pytest.mark.parametrize(
+    "bad",
+    [1, -1, 1.5, F(7, 7), 0.6 + 0.9j, math.nan, complex(math.nan, 0), math.inf],
+)
 def test_coefficient_rejects_boundary(bad):
     with pytest.raises(CoefficientOutOfDisk):
         VerblunskyCoefficient(bad)
@@ -89,6 +92,8 @@ def test_build_validations():
         build_cmv([0.0] * 3, 8)
     with pytest.raises(CoefficientOutOfDisk):
         build_cmv([0.0, 1.5, 0.0, 0.0], 4)
+    with pytest.raises(CoefficientOutOfDisk):
+        build_cmv([0.0, math.nan, 0.0, 0.0], 4)
 
 
 def test_entries_iterator_row_major_and_banded():

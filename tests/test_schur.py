@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -14,17 +15,47 @@ from rieszwalk.schur import (
     InsufficientPrecision,
     ParameterOutOfDisk,
     PrecisionExhausted,
-    SchurState,
     cumulative_return_probability,
     extract_verblunsky,
     first_return_series,
     renewal_first_return,
     schur_from_caratheodory,
-    schur_step,
 )
 from rieszwalk.series import TruncatedSeries
 
 MU, NU = MeasureVariant.MU, MeasureVariant.NU
+
+
+# -- oracle: the Schur algorithm stepped on Fraction series -----------------------
+#
+# The textbook iteration, one series reciprocal per step.  It is the
+# independent reference that extract_verblunsky's fraction-free loop must
+# reproduce bit for bit.
+
+
+@dataclass(frozen=True)
+class SchurState:
+    """Iterate of the Schur algorithm after ``step`` parameter extractions."""
+
+    current: TruncatedSeries
+    step: int = 0
+    extracted: tuple[F, ...] = ()
+
+
+def schur_step(state: SchurState) -> SchurState:
+    """One Schur iteration: strip the constant term, Moebius-shift, divide by z."""
+    f = state.current
+    if f.valid_order < 1:
+        raise PrecisionExhausted(
+            f"valid_order {f.valid_order} at step {state.step}: cannot step again"
+        )
+    alpha = f.coefficient(0)
+    if abs(alpha) >= 1:
+        raise ParameterOutOfDisk(f"|alpha_{state.step}| = |{alpha}| >= 1")
+    numerator = f.add_constant(-alpha)
+    denominator = f.scale(-alpha).add_constant(1)
+    nxt = (numerator * denominator.reciprocal()).shift_down()
+    return SchurState(nxt, state.step + 1, state.extracted + (alpha,))
 
 
 def riesz_schur_function(order: int) -> TruncatedSeries:

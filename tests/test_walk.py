@@ -72,6 +72,15 @@ def test_non_unitary_coin_rejected():
         coined_walk_matrix(CoinMatrix(1, 0, 0, 2), 8)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [(1, 0, 0, 2), (math.nan, 0, 0, 1), (math.inf, 0, 0, 1), (1, 0, 0, complex(0, math.nan))],
+)
+def test_coin_construction_checks_unitarity(entries):
+    with pytest.raises(NonUnitaryCoin):
+        CoinMatrix(*entries)
+
+
 def test_identity_coins_shift_right():
     m = coined_walk_matrix(IDENTITY_COIN, 12)
     assert m.entry(0, 0) == 0
