@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 AlphaLike = Union["VerblunskyCoefficient", Fraction, complex, float, int]
+Entry = tuple[int, int, complex]  # (row, col, value)
 
 
 class CoefficientOutOfDisk(ValueError):
@@ -83,6 +84,15 @@ class BandedUnitary:
         self.dimension = bands.shape[1]
         self.bands.flags.writeable = False
 
+    @classmethod
+    def from_entries(cls, dim: int, entries: Iterable[Entry]) -> "BandedUnitary":
+        """Inverse of ``nonzero_entries``; drops in-band triples outside the matrix."""
+        bands = np.zeros((5, dim), dtype=complex)
+        for row, col, value in entries:
+            if 0 <= row < dim and 0 <= col < dim:
+                bands[col - row + 2, row] = value
+        return cls(bands)
+
     def entry(self, row: int, col: int) -> complex:
         if not (0 <= row < self.dimension and 0 <= col < self.dimension):
             raise IndexError("entry outside the matrix")
@@ -93,12 +103,11 @@ class BandedUnitary:
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for o in range(-2, 3):
-            for r in range(max(0, -o), min(self.dimension, self.dimension - o)):
-                dense[r, r + o] = self.bands[o + 2, r]
+        for r, c, v in self.nonzero_entries():
+            dense[r, c] = v
         return dense
 
-    def nonzero_entries(self) -> Iterator[tuple[int, int, complex]]:
+    def nonzero_entries(self) -> Iterator[Entry]:
         """Yield (row, col, value) for every non-zero entry, row-major."""
         for r in range(self.dimension):
             for o in range(-2, 3):
@@ -115,7 +124,9 @@ def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
         raise ValueError("dim must be >= 2")
     if len(alphas) < dim:
         raise ValueError(f"need at least {dim} coefficients, got {len(alphas)}")
+    # Past the cut alpha = 0, rho = 1; every entry built from it is dropped.
     coeff = [VerblunskyCoefficient(a) for a in alphas[:dim]]
+    coeff.append(VerblunskyCoefficient(0.0))
 
     def a(j: int) -> complex:
         # j = -1 encodes the boundary: a fictitious coefficient -1 makes the
@@ -125,28 +136,21 @@ def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
     def r(j: int) -> float:
         return 0.0 if j < 0 else coeff[j].rho
 
-    bands = np.zeros((5, dim), dtype=complex)
+    def entries() -> Iterator[Entry]:
+        for row in range(dim):
+            k = 2 * (row // 2)
+            if row % 2 == 0:
+                yield row, k - 1, r(k - 1) * np.conj(a(k))
+                yield row, k, -a(k - 1) * np.conj(a(k))
+                yield row, k + 1, r(k) * np.conj(a(k + 1))
+                yield row, k + 2, r(k) * r(k + 1)
+            else:
+                yield row, k - 1, r(k - 1) * r(k)
+                yield row, k, -a(k - 1) * r(k)
+                yield row, k + 1, -a(k) * np.conj(a(k + 1))
+                yield row, k + 2, -a(k) * r(k + 1)
 
-    def put(row: int, col: int, value: complex) -> None:
-        if col >= 0:
-            bands[col - row + 2, row] = value
-
-    for row in range(dim):
-        k = 2 * (row // 2)
-        if row % 2 == 0:
-            put(row, k - 1, r(k - 1) * np.conj(a(k)))
-            put(row, k, -a(k - 1) * np.conj(a(k)))
-            if k + 1 < dim:
-                put(row, k + 1, r(k) * np.conj(a(k + 1)))
-            if k + 2 < dim:
-                put(row, k + 2, r(k) * r(k + 1))
-        else:
-            put(row, k - 1, r(k - 1) * r(k))
-            put(row, k, -a(k - 1) * r(k))
-            put(row, k + 1, -a(k) * np.conj(a(k + 1)))
-            if k + 2 < dim:
-                put(row, k + 2, -a(k) * r(k + 1))
-    return BandedUnitary(bands)
+    return BandedUnitary.from_entries(dim, entries())
 
 
 def apply_from_source(state: Sequence[complex], M: BandedUnitary) -> np.ndarray:
@@ -196,16 +200,18 @@ def unitarity_defect(M: BandedUnitary) -> float:
     return worst
 
 
-def spectral_moment(M: BandedUnitary, n: int) -> complex:
-    """Entry (0, 0) of M^n, exact for the truncation by finite propagation."""
+def spectral_moments(M: BandedUnitary, n: int) -> np.ndarray:
+    """Entries (0, 0) of M^0 .. M^n, exact for the truncation by finite propagation."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if M.dimension < 2 * n + 3:
         raise DimensionTooSmall(
-            f"moment {n} needs dimension >= {2 * n + 3}, have {M.dimension}"
+            f"moments through {n} need dimension >= {2 * n + 3}, have {M.dimension}"
         )
     v = np.zeros(M.dimension, dtype=complex)
     v[0] = 1.0
+    moments = [v[0]]
     for _ in range(n):
         v = apply_from_source(v, M)
-    return complex(v[0])
+        moments.append(v[0])
+    return np.array(moments)

@@ -20,7 +20,7 @@ from expected_values import (
     SCHUR_F,
 )
 from rieszwalk import ansatz, walk
-from rieszwalk.cmv import build_cmv, spectral_moment, unitarity_defect
+from rieszwalk.cmv import build_cmv, spectral_moments, unitarity_defect
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import (
     extract_verblunsky,
@@ -170,7 +170,7 @@ def test_criterion_11_hadamard_evenness():
             assert abs(amplitudes[n - 1]) <= 1e-12
         assert abs(amplitudes[0]) > 0.7  # step 1 via the reflecting origin
 
-        moments = [spectral_moment(matrix, n) for n in range(61)]
+        moments = spectral_moments(matrix, 60)
         F_hadamard = [1.0 + 0j] + [2 * v for v in moments[1:]]
         assert walk.traditional_walk_test(F_hadamard, tol=1e-10) is True
         F_riesz = caratheodory_series(40, MU)

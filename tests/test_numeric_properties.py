@@ -1,0 +1,92 @@
+"""Invariants of the numeric layer, checked over generated inputs."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from rieszwalk.cmv import (  # noqa: E402
+    BandedUnitary,
+    DimensionTooSmall,
+    build_cmv,
+    spectral_moments,
+    unitarity_defect,
+)
+from rieszwalk.walk import WalkState, evolve  # noqa: E402
+
+# Real and imaginary parts below 0.7 keep every coefficient inside the disk.
+in_disk = st.builds(
+    complex,
+    st.floats(-0.7, 0.7, allow_nan=False),
+    st.floats(-0.7, 0.7, allow_nan=False),
+)
+amplitude = st.builds(
+    complex,
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.floats(-1.0, 1.0, allow_nan=False),
+)
+property_settings = settings(deadline=None, max_examples=60)
+
+
+@property_settings
+@given(st.lists(in_disk, min_size=2, max_size=40))
+def test_from_entries_inverts_nonzero_entries(alphas):
+    m = build_cmv(alphas, len(alphas))
+    again = BandedUnitary.from_entries(m.dimension, m.nonzero_entries())
+    assert again.dimension == m.dimension
+    assert np.array_equal(again.bands, m.bands)
+
+
+@property_settings
+@given(st.lists(in_disk, min_size=5, max_size=60))
+def test_build_cmv_is_unitary_in_the_interior(alphas):
+    assert unitarity_defect(build_cmv(alphas, len(alphas))) <= 1e-12
+
+
+@property_settings
+@given(st.data())
+def test_evolve_conserves_norm(data):
+    steps = data.draw(st.integers(0, 20))
+    head = data.draw(st.lists(amplitude, min_size=1, max_size=6))
+    assume(np.linalg.norm(head) >= 0.1)
+    dim = max(2 * steps + 8, len(head) + 2 * steps + 2)
+    alphas = data.draw(st.lists(in_disk, min_size=dim, max_size=dim))
+    v = np.zeros(dim, dtype=complex)
+    v[: len(head)] = head
+    v /= np.linalg.norm(v)
+    out = evolve(build_cmv(alphas, dim), WalkState(v), steps)
+    assert abs(out.norm() - 1) <= 1e-12
+
+
+@property_settings
+@given(st.lists(in_disk, min_size=3, max_size=50), st.data())
+def test_spectral_moments_prefix(alphas, data):
+    m = build_cmv(alphas, len(alphas))
+    n = data.draw(st.integers(0, (m.dimension - 3) // 2))
+    k = data.draw(st.integers(0, n))
+    assert np.array_equal(spectral_moments(m, n)[: k + 1], spectral_moments(m, k))
+
+
+def scanning_rule_raises(dim: int, v: np.ndarray, steps: int) -> bool:
+    """The dimension rule of evolve, applied by a scan over the whole state."""
+    if not steps:
+        return False
+    support = np.nonzero(v)[0]
+    high = int(support[-1]) if support.size else 0
+    needed = 2 * steps + 8 if high <= 1 else high + 2 * steps + 3
+    return dim < needed
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 60), st.integers(0, 30), st.data())
+def test_evolve_guard_matches_scanning_rule(dim, steps, data):
+    support = data.draw(st.sets(st.integers(0, dim - 1), max_size=4))
+    v = np.zeros(dim, dtype=complex)
+    v[list(support)] = 1.0
+    try:
+        evolve(build_cmv([0.0] * dim, dim), WalkState(v), steps)
+        raised = False
+    except DimensionTooSmall:
+        raised = True
+    assert raised == scanning_rule_raises(dim, v, steps)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from rieszwalk.cmv import DimensionMismatch, DimensionTooSmall, build_cmv, spectral_moment, unitarity_defect
+from rieszwalk.cmv import DimensionMismatch, DimensionTooSmall, build_cmv, spectral_moments, unitarity_defect
 from rieszwalk.riesz import MeasureVariant, caratheodory_series
 from rieszwalk.walk import (
     HADAMARD_COIN,
@@ -12,9 +12,7 @@ from rieszwalk.walk import (
     CoinMatrix,
     NonUnitaryCoin,
     WalkState,
-    ZeroCoin,
     coined_walk_matrix,
-    constant_coin_schur_coeffs,
     evolve,
     first_return_numeric,
     hadamard_alpha,
@@ -24,6 +22,44 @@ from rieszwalk.walk import (
 )
 
 R = 1 / math.sqrt(2)
+
+
+class ZeroCoin(ValueError):
+    """The constant-coin closed form degenerates for a vanishing coin entry."""
+
+
+def constant_coin_schur_coeffs(a: complex, max_order: int) -> np.ndarray:
+    """Taylor coefficients of the constant-coin Schur function.
+
+    f(z) = (z^2 - 1 + sqrt((z^2 - 1)^2 + 4 |a|^2 z^2)) / (2 conj(a) z^2),
+    expanded by a floating-point series square root with constant term 1.
+    The numerator vanishes to second order, so the division by z^2 is an
+    index shift.  This closed form is the oracle the matrix route is tested
+    against.
+    """
+    if a == 0:
+        raise ZeroCoin("constant coin parameter must be non-zero")
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    n_orders = max_order + 3
+    q = np.zeros(n_orders, dtype=complex)
+    q[0] = 1.0
+    if n_orders > 2:
+        q[2] = 4.0 * abs(a) ** 2 - 2.0
+    if n_orders > 4:
+        q[4] = 1.0
+    s = np.zeros(n_orders, dtype=complex)
+    s[0] = 1.0
+    for n in range(1, n_orders):
+        acc = q[n]
+        for i in range(1, n):
+            acc -= s[i] * s[n - i]
+        s[n] = acc / 2.0
+    numer = s.copy()
+    numer[0] -= 1.0
+    if n_orders > 2:
+        numer[2] += 1.0
+    return numer[2:] / (2.0 * np.conj(a))
 
 
 def solve_diagonal_conjugation(U, C):
@@ -148,9 +184,8 @@ def test_hadamard_alpha_entry_magnitudes():
 def test_hadamard_spectral_moments_agree():
     coined = coined_walk_matrix(HADAMARD_COIN, 108)
     cmv = build_cmv(hadamard_alpha(108), 108)
-    for n in range(51):
-        gap = abs(spectral_moment(coined, n) - spectral_moment(cmv, n))
-        assert gap <= 1e-10
+    gaps = np.abs(spectral_moments(coined, 50) - spectral_moments(cmv, 50))
+    assert np.max(gaps) <= 1e-10
 
 
 def test_constant_sign_alpha_does_not_match_the_walk():
@@ -158,7 +193,7 @@ def test_constant_sign_alpha_does_not_match_the_walk():
     # measure with different odd moments; the alternation is load-bearing.
     coined = coined_walk_matrix(HADAMARD_COIN, 28)
     const = build_cmv([R if j % 2 == 0 else 0.0 for j in range(28)], 28)
-    assert abs(spectral_moment(coined, 3) - spectral_moment(const, 3)) > 0.5
+    assert abs(spectral_moments(coined, 3)[3] - spectral_moments(const, 3)[3]) > 0.5
 
 
 # -- Riesz walk -------------------------------------------------------------------
@@ -199,6 +234,15 @@ def test_evolve_dim_guard():
         evolve(m, WalkState.origin_up(16), 5)
     with pytest.raises(DimensionMismatch):
         evolve(m, WalkState.origin_up(8), 1)
+    # A state whose highest non-zero index is high > 1 needs exactly
+    # high + 2 * steps + 3; one below raises.
+    for high, steps in [(2, 1), (5, 3), (9, 4), (20, 1)]:
+        dim = high + 2 * steps + 3
+        v = np.zeros(dim, dtype=complex)
+        v[high] = 1.0
+        evolve(riesz_walk_matrix(dim), WalkState(v), steps)
+        with pytest.raises(DimensionTooSmall):
+            evolve(riesz_walk_matrix(dim - 1), WalkState(v[:-1]), steps)
 
 
 def test_evolution_norm_and_support():
@@ -295,7 +339,7 @@ def test_traditional_walk_test_riesz_exact():
 
 def test_traditional_walk_test_hadamard_numeric():
     m = coined_walk_matrix(HADAMARD_COIN, 128)
-    moments = [spectral_moment(m, n) for n in range(61)]
+    moments = spectral_moments(m, 60)
     coeffs = [1.0 + 0j] + [2 * v for v in moments[1:]]
     assert traditional_walk_test(coeffs, tol=1e-10) is True
 
