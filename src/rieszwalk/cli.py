@@ -44,7 +44,8 @@ def _csv_cell(value, use_float: bool) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        # float() drops a numpy scalar type, whose repr is not a number.
+        return repr(float(value))
     if isinstance(value, complex):
         return repr(value)
     return str(value)

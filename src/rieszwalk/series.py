@@ -13,6 +13,7 @@ Coefficients are ``fractions.Fraction`` throughout; arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -27,6 +28,41 @@ class ZeroConstantTerm(ValueError):
 
 class NonzeroConstantTerm(ValueError):
     """Downward shift requested for a series whose constant term is not zero."""
+
+
+def _nonzero_terms(coeffs: Sequence[Fraction]) -> list[tuple[int, int, int]]:
+    """(order, numerator, denominator) of each non-zero coefficient, by order."""
+    return [(i, c.numerator, c.denominator) for i, c in enumerate(coeffs) if c]
+
+
+def _convolve_at(
+    terms: list[tuple[int, int, int]],
+    nums: Sequence[int],
+    dens: Sequence[int],
+    n: int,
+    scale_num: int = 1,
+    scale_den: int = 1,
+) -> Fraction:
+    """(scale_num / scale_den) * sum of a_i b_(n-i), as one exact Fraction.
+
+    ``terms`` lists the non-zero a_i by increasing i (see ``_nonzero_terms``);
+    those with i > n do not enter.  b_k is ``nums[k] / dens[k]``.  The products stay
+    integer pairs and are summed over their least common denominator, so the
+    gcd normalization runs once per coefficient instead of twice per term.
+    """
+    ps, qs = [], []
+    for i, p, q in terms:
+        if i > n:
+            break
+        b = nums[n - i]
+        if b:
+            ps.append(p * b)
+            qs.append(q * dens[n - i])
+    if not ps:
+        return Fraction(0)
+    lcm = math.lcm(*qs)
+    total = sum(p * (lcm // q) for p, q in zip(ps, qs))
+    return Fraction(scale_num * total, scale_den * lcm)
 
 
 class TruncatedSeries:
@@ -112,17 +148,15 @@ class TruncatedSeries:
         # Both factors have nonnegative valuation, so the Cauchy product
         # through the common valid order uses only trustworthy coefficients.
         order = min(self.valid_order, other.valid_order)
-        a, b = self._coeffs, other._coeffs
-        out = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(order + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(out, order)
+        terms, dense = _nonzero_terms(self._coeffs), other._coeffs
+        other_terms = _nonzero_terms(other._coeffs)
+        if len(other_terms) < len(terms):
+            terms, dense = other_terms, self._coeffs
+        nums = [c.numerator for c in dense]
+        dens = [c.denominator for c in dense]
+        return TruncatedSeries(
+            [_convolve_at(terms, nums, dens, n) for n in range(order + 1)], order
+        )
 
     def scale(self, factor: CoefficientLike) -> "TruncatedSeries":
         f = Fraction(factor)
@@ -142,16 +176,15 @@ class TruncatedSeries:
         """Multiplicative inverse through the same valid order."""
         if self.valid_order < 0 or not self._coeffs[0]:
             raise ZeroConstantTerm("series has no invertible constant term")
-        a = self._coeffs
-        inv0 = 1 / a[0]
+        inv0 = 1 / self._coeffs[0]
+        terms = _nonzero_terms(self._coeffs)[1:]
         out = [inv0]
+        nums, dens = [inv0.numerator], [inv0.denominator]
         for n in range(1, self.valid_order + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                ai = a[i]
-                if ai:
-                    acc += ai * out[n - i]
-            out.append(-inv0 * acc)
+            c = _convolve_at(terms, nums, dens, n, -inv0.numerator, inv0.denominator)
+            out.append(c)
+            nums.append(c.numerator)
+            dens.append(c.denominator)
         return TruncatedSeries(out, self.valid_order)
 
     def shift_down(self) -> "TruncatedSeries":

@@ -1,13 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import rieszwalk
 from rieszwalk.cli import main
 
 HADAMARD_LINE = "0.7071067811865476,0 0.7071067811865476,0 0.7071067811865476,0 -0.7071067811865476,0\n"
+
+
+def child_env():
+    """Environment in which a child interpreter imports this rieszwalk package."""
+    src = os.path.dirname(os.path.dirname(rieszwalk.__file__))
+    return {**os.environ, "PYTHONPATH": src}
 
 
 def run(capsys, *argv):
@@ -200,6 +208,8 @@ def test_first_return_numeric_hadamard(capsys):
     assert code == 0
     assert len(rows) == 70
     assert all(abs(float(row[1])) <= 1e-12 for row in rows if int(row[0]) % 2 == 0)
+    cumulative = [float(row[2]) for row in rows]  # plain decimals, no numpy repr
+    assert cumulative == sorted(cumulative) and cumulative[-1] <= 1
 
 
 def test_first_return_both_passes(capsys):
@@ -283,7 +293,9 @@ for argv in (
     assert rieszwalk.cli.main(argv) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 """
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
     assert result.returncode == 0, result.stderr
 
 
@@ -373,7 +385,7 @@ def test_output_file_atomic_and_deterministic(tmp_path):
 
 def test_console_invocations_byte_identical():
     cmd = [sys.executable, "-m", "rieszwalk.cli", "walk", "--coin", "riesz", "--steps", "12"]
-    a = subprocess.run(cmd, capture_output=True, check=True)
-    b = subprocess.run(cmd, capture_output=True, check=True)
+    a = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
+    b = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
     assert a.stdout == b.stdout
     assert a.stdout.endswith(b"\n")

@@ -3,11 +3,93 @@ from fractions import Fraction as F
 
 import pytest
 
+from rieszwalk.riesz import MeasureVariant, caratheodory_series
 from rieszwalk.series import NonzeroConstantTerm, TruncatedSeries, ZeroConstantTerm
 
 
 def S(coeffs, order):
     return TruncatedSeries(coeffs, order)
+
+
+# -- oracle: the term-by-term Fraction products ---------------------------------
+
+
+def oracle_mul(x, y):
+    """Cauchy product through the common valid order, one Fraction op per term."""
+    order = min(x.valid_order, y.valid_order)
+    a, b = x.coefficients, y.coefficients
+    out = [F(0)] * (order + 1)
+    for i in range(order + 1):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(order + 1 - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return TruncatedSeries(out, order)
+
+
+def oracle_reciprocal(x):
+    """Reciprocal by the long-division recursion; the constant term is non-zero."""
+    a = x.coefficients
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for n in range(1, x.valid_order + 1):
+        acc = F(0)
+        for i in range(1, n + 1):
+            ai = a[i]
+            if ai:
+                acc += ai * out[n - i]
+        out.append(-inv0 * acc)
+    return TruncatedSeries(out, x.valid_order)
+
+
+@pytest.mark.parametrize("variant", list(MeasureVariant))
+def test_kernel_matches_oracle_on_riesz_series(variant):
+    F_series = caratheodory_series(300, variant)
+    denominator = F_series.add_constant(1)
+    numerator = F_series.add_constant(-1)
+    inverse = denominator.reciprocal()
+    assert inverse == oracle_reciprocal(denominator)
+    assert numerator * inverse == oracle_mul(numerator, inverse)
+    assert inverse * numerator == oracle_mul(numerator, inverse)
+
+
+def test_kernel_matches_oracle_on_generated_series():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # Zeros, integers and non-dyadic fractions of either sign.
+    coefficient = st.one_of(
+        st.just(0),
+        st.integers(-20, 20),
+        st.fractions(min_value=-7, max_value=7, max_denominator=60),
+    )
+
+    @st.composite
+    def series(draw):
+        order = draw(st.integers(-1, 14))
+        if draw(st.booleans()):  # sparse: a few non-zero entries among zero gaps
+            entries = draw(st.dictionaries(st.integers(0, order + 2), coefficient, max_size=4))
+            coeffs = [entries.get(k, 0) for k in range(order + 3)]
+        else:
+            coeffs = draw(st.lists(coefficient, max_size=order + 3))
+        return TruncatedSeries(coeffs, order)
+
+    @settings(deadline=None, max_examples=150)
+    @given(series(), series())
+    def check(a, b):
+        product = a * b
+        assert product == oracle_mul(a, b)
+        assert product.valid_order == min(a.valid_order, b.valid_order)
+        if a.valid_order < 0 or not a.coefficients[0]:
+            with pytest.raises(ZeroConstantTerm):
+                a.reciprocal()
+        else:
+            assert a.reciprocal() == oracle_reciprocal(a)
+
+    check()
 
 
 def test_add_basic():

@@ -272,6 +272,33 @@ def test_first_return_riesz_values():
     assert np.max(np.abs(amps[:3])) <= 1e-12
 
 
+def numpy_scalar_renewal(M, max_n: int) -> np.ndarray:
+    """The renewal recursion of first_return_numeric, run on numpy scalars."""
+    r = spectral_moments(M, max_n)
+    a = np.zeros(max_n + 1, dtype=complex)
+    for n in range(1, max_n + 1):
+        acc = r[n]
+        for k in range(1, n):
+            acc -= a[k] * r[n - k]
+        a[n] = acc
+    return a[1:]
+
+
+@pytest.mark.parametrize("coin", ["riesz", "hadamard"])
+def test_first_return_matches_numpy_scalar_renewal_bitwise(coin):
+    if coin == "riesz":
+        matrix = riesz_walk_matrix(608)
+    else:
+        matrix = coined_walk_matrix(HADAMARD_COIN, 608)
+    amps = first_return_numeric(matrix, 300)
+    assert amps.tobytes() == numpy_scalar_renewal(matrix, 300).tobytes()
+    for n in (0, 1):
+        small = first_return_numeric(matrix, n)
+        assert small.dtype == np.complex128
+        assert small.shape == (n,)
+        assert small.tobytes() == numpy_scalar_renewal(matrix, n).tobytes()
+
+
 def test_first_return_needs_dimension():
     with pytest.raises(DimensionTooSmall):
         first_return_numeric(riesz_walk_matrix(16), 10)
