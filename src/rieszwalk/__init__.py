@@ -8,7 +8,6 @@ numpy.  The numeric layer is imported from ``rieszwalk.cmv`` and
 
 from .series import (
     NonzeroConstantTerm,
-    Rational,
     TruncatedSeries,
     ZeroConstantTerm,
 )
@@ -27,10 +26,8 @@ from .schur import (
 from .ansatz import (
     IndexDecomposition,
     LimitFamilies,
-    OutOfDomain,
     VerificationReport,
     alpha,
-    alpha_from_offsets,
     backbone,
     backbone_constant,
     decompose_index,
@@ -46,15 +43,12 @@ __all__ = [
     "LimitFamilies",
     "MeasureVariant",
     "NonzeroConstantTerm",
-    "OutOfDomain",
     "ParameterOutOfDisk",
     "PrecisionExhausted",
-    "Rational",
     "TruncatedSeries",
     "VerificationReport",
     "ZeroConstantTerm",
     "alpha",
-    "alpha_from_offsets",
     "backbone",
     "backbone_constant",
     "caratheodory_series",

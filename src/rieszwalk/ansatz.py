@@ -1,13 +1,12 @@
 """Closed-form generator for the Riesz walk's non-zero Verblunsky parameters.
 
 The non-zero parameters sit at indices 3, 7, 11, ... (every fourth index).
-They are generated in two independent ways, kept side by side so each can
-check the other and both can be checked against the Schur algorithm:
-
-* a total closed form driven by the unique decomposition of the parameter
-  counter m as (1 + (3n-1) 4^p) / 3 with n not congruent to 3 mod 4, and
-* an anchor-plus-offset recipe that places -1/A_p at every 32nd index and
-  fills the seven non-zero slots between consecutive anchors.
+They come from a total closed form driven by the unique decomposition of the
+parameter counter m as (1 + (3n-1) 4^p) / 3 with n not congruent to 3 mod 4;
+``verify_ansatz`` checks it against the Schur algorithm.  The paper's second
+recipe, which places -1/A_p at every 32nd index and fills the seven non-zero
+slots between consecutive anchors, is a test-side oracle in
+``tests/oracles.py``.
 
 The anchor integers (the "backbone") come from a weighted count over the
 arithmetic progressions { ((-2)^j - 1)/3 + k 2^(j+1) : k integer }, j >= 0,
@@ -16,7 +15,6 @@ which partition the integers.  All arithmetic in this module is exact.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,10 +26,6 @@ from .schur import extract_verblunsky
 
 class IndexOutOfRange(ValueError):
     """Sequence evaluated before its first defined index."""
-
-
-class OutOfDomain(ValueError):
-    """The offset recipe does not cover this index."""
 
 
 def first_positive(j: int) -> int:
@@ -140,33 +134,6 @@ def alpha(j: int) -> Fraction:
     return nonzero_alpha((j + 1) // 4)
 
 
-_OFFSET_NUMERATORS = {3: 1, 7: -1, 11: -3, 15: -1, 19: 1, 23: -1}
-_OFFSET_SHIFTS = {3: 1, 7: 2, 11: -1, 15: -4, 19: -3, 23: -2}
-
-
-def alpha_from_offsets(j: int) -> Fraction:
-    """Non-zero parameter at index j from the anchor-plus-offset recipe.
-
-    Covers j >= 15 with j = 3 mod 4 only; the first three non-zero
-    parameters predate the first anchor and come from the closed form.
-    """
-    if j < 15 or j % 4 != 3:
-        raise OutOfDomain(f"offset recipe covers j >= 15 with j = 3 mod 4, not {j}")
-    p = (j + 17) // 32
-    off = j - 16 * (2 * p - 1)
-    a_p = backbone(p)
-    if off == -1:
-        return Fraction(-1, a_p)
-    if off == 31:
-        return Fraction(-1, backbone(p + 1))
-    if off == 27:
-        a_next = backbone(p + 1)
-        return Fraction(a_next - a_p + 2, a_next + a_p - 2)
-    if off == 11:
-        return Fraction(-3, a_p - 1)
-    return Fraction(_OFFSET_NUMERATORS[off], a_p + _OFFSET_SHIFTS[off])
-
-
 class LimitFamilies(NamedTuple):
     """The three families whose closures carry every limit point.
 
@@ -202,7 +169,6 @@ class VerificationReport:
     ansatz_values: tuple[Fraction, ...]
     schur_values: tuple[Fraction, ...]
     first_mismatch: Optional[int]
-    elapsed_seconds: float
 
     @property
     def checked(self) -> int:
@@ -221,7 +187,6 @@ def verify_ansatz(count: int) -> VerificationReport:
     cheaper than extracting from the sparse variant and interleaving zeros.
     Every index is compared, so the report carries both full sequences.
     """
-    start = time.perf_counter()
     G = caratheodory_series(count + 1, MeasureVariant.NU)
     schur_values = tuple(extract_verblunsky(G, count))
     ansatz_values = tuple(nonzero_alpha(m) for m in range(1, count + 1))
@@ -229,9 +194,4 @@ def verify_ansatz(count: int) -> VerificationReport:
         (m for m, (a, s) in enumerate(zip(ansatz_values, schur_values), 1) if a != s),
         None,
     )
-    return VerificationReport(
-        ansatz_values,
-        schur_values,
-        first_mismatch,
-        time.perf_counter() - start,
-    )
+    return VerificationReport(ansatz_values, schur_values, first_mismatch)

@@ -76,15 +76,21 @@ def write_table(columns: list[str], rows: list[list], args) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(args.output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rieszwalk-")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, args.output)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rieszwalk-")
+        try:
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, args.output)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # An unwritable path is bad input (exit 2), not a failed cross-check.
+        raise InputError(
+            f"cannot write output: {args.output}: {exc.strerror or exc}"
+        ) from exc
 
 
 def _variant(name: str) -> MeasureVariant:

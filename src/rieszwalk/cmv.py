@@ -93,20 +93,6 @@ class BandedUnitary:
                 bands[col - row + 2, row] = value
         return cls(bands)
 
-    def entry(self, row: int, col: int) -> complex:
-        if not (0 <= row < self.dimension and 0 <= col < self.dimension):
-            raise IndexError("entry outside the matrix")
-        o = col - row
-        if abs(o) > 2:
-            return 0j
-        return complex(self.bands[o + 2, row])
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for r, c, v in self.nonzero_entries():
-            dense[r, c] = v
-        return dense
-
     def nonzero_entries(self) -> Iterator[Entry]:
         """Yield (row, col, value) for every non-zero entry, row-major."""
         for r in range(self.dimension):

@@ -2,7 +2,9 @@
 
 Converts a Caratheodory series F into its Schur function f, extracts
 Verblunsky parameters one per step, and exposes the first-return amplitude
-series together with an independent renewal-equation oracle.
+series.  ``renewal_first_return`` computes the same amplitudes from the
+moments alone; the CLI never calls it, but the tests, those of the
+benchmark's output checks included, use it as the independent oracle.
 
 The engine works over real rational data (conjugation is the identity);
 complex coins are handled numerically elsewhere.  Each Schur step consumes
@@ -10,16 +12,16 @@ exactly one trustworthy series order, which the TruncatedSeries ledger
 enforces: running out of orders raises instead of silently truncating.
 
 The step-n first-return amplitude is the order n-1 Taylor coefficient of f.
-That offset is not an assumption: the renewal inversion of the moment
-sequence is implemented independently below and the test suite asserts the
-two paths coincide order by order.
+That offset is not an assumption: the test suite asserts that the
+renewal inversion of the moment sequence coincides with it order by order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .series import TruncatedSeries
@@ -45,18 +47,20 @@ class InsufficientPrecision(ValueError):
 class FirstReturnSeries:
     """Amplitudes of first return in exactly n steps, n = 1, 2, ...
 
-    ``amplitudes[i]`` is the step i+1 amplitude.  The squared amplitudes must
-    have partial sums bounded by one: their total is a return probability.
+    ``amplitudes[i]`` is the step i+1 amplitude and ``cumulative[i]`` the
+    sum of the squared amplitudes through step i+1.  Those partial sums must
+    be bounded by one: their total is a return probability.
     """
 
     amplitudes: tuple[Fraction, ...]
+    cumulative: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        total = Fraction(0)
-        for a in self.amplitudes:
-            total += a * a
-            if total > 1:
-                raise ValueError("cumulative return probability exceeds 1")
+        cumulative = tuple(accumulate(a * a for a in self.amplitudes))
+        # The partial sums never decrease, so the last one bounds them all.
+        if cumulative and cumulative[-1] > 1:
+            raise ValueError("cumulative return probability exceeds 1")
+        object.__setattr__(self, "cumulative", cumulative)
 
 
 def schur_from_caratheodory(F: TruncatedSeries) -> TruncatedSeries:
@@ -149,16 +153,11 @@ def renewal_first_return(
         raise ValueError(f"need {max_n + 1} moments, got {len(moments)}")
     if Fraction(moments[0]) != 1:
         raise ValueError("zeroth moment must be 1")
-    r = TruncatedSeries([Fraction(c) for c in moments[: max_n + 1]], max_n)
-    a = TruncatedSeries.constant(1, max_n) - r.reciprocal()
-    return FirstReturnSeries(tuple(a.coefficients[1:]))
+    r = TruncatedSeries(moments[: max_n + 1], max_n)
+    # 1 - 1/r(z) has constant term 0 and the negated coefficients of 1/r above it.
+    return FirstReturnSeries(tuple(-c for c in r.reciprocal().coefficients[1:]))
 
 
 def cumulative_return_probability(a: FirstReturnSeries) -> tuple[Fraction, ...]:
     """Partial sums of squared first-return amplitudes; monotone and <= 1."""
-    out = []
-    total = Fraction(0)
-    for amp in a.amplitudes:
-        total += amp * amp
-        out.append(total)
-    return tuple(out)
+    return a.cumulative

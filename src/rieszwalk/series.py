@@ -3,7 +3,7 @@
 Every series carries an explicit ``valid_order``: the highest order whose
 coefficient is trustworthy.  Operations never read a coefficient beyond the
 valid order of their inputs, and each operation's output valid order follows
-a fixed rule (min for ring operations, minus one for the downward shift).
+a fixed rule (min for products, minus one for the downward shift).
 This explicit ledger exists because the Verblunsky extraction loop loses
 exactly one trustworthy order per step, and silently reading past the valid
 order is the main correctness hazard of the whole computation.
@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 CoefficientLike = Union[Fraction, int]
 
@@ -88,14 +86,6 @@ class TruncatedSeries:
         self._coeffs = tuple(coeffs)
         self.valid_order = valid_order
 
-    @classmethod
-    def constant(cls, value: CoefficientLike, valid_order: int) -> "TruncatedSeries":
-        return cls([Fraction(value)], valid_order)
-
-    @classmethod
-    def zero(cls, valid_order: int) -> "TruncatedSeries":
-        return cls([], valid_order)
-
     @property
     def coefficients(self) -> Sequence[Fraction]:
         return self._coeffs
@@ -125,23 +115,6 @@ class TruncatedSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.valid_order, other.valid_order)
-        a, b = self._coeffs, other._coeffs
-        return TruncatedSeries([a[k] + b[k] for k in range(order + 1)], order)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.valid_order, other.valid_order)
-        a, b = self._coeffs, other._coeffs
-        return TruncatedSeries([a[k] - b[k] for k in range(order + 1)], order)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs], self.valid_order)
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -157,10 +130,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             [_convolve_at(terms, nums, dens, n) for n in range(order + 1)], order
         )
-
-    def scale(self, factor: CoefficientLike) -> "TruncatedSeries":
-        f = Fraction(factor)
-        return TruncatedSeries([f * c for c in self._coeffs], self.valid_order)
 
     def add_constant(self, value: CoefficientLike) -> "TruncatedSeries":
         if self.valid_order < 0:
@@ -196,15 +165,3 @@ class TruncatedSeries:
                 f"constant term {self._coeffs[0]} != 0, cannot divide by z"
             )
         return TruncatedSeries(self._coeffs[1:], self.valid_order - 1)
-
-    def substitute_quartic(self) -> "TruncatedSeries":
-        """Substitute z**4 for z.
-
-        The gaps between surviving coefficients are exact zeros, so the
-        output is trustworthy through 4*valid_order + 3.
-        """
-        order = 4 * self.valid_order + 3
-        out = [Fraction(0)] * (order + 1)
-        for k, c in enumerate(self._coeffs):
-            out[4 * k] = c
-        return TruncatedSeries(out, order)

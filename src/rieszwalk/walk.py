@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -30,7 +29,6 @@ from .cmv import (
     build_cmv,
     spectral_moments,
 )
-from .series import TruncatedSeries
 
 
 class NonUnitaryCoin(ValueError):
@@ -62,7 +60,6 @@ class CoinMatrix:
 HADAMARD_COIN = CoinMatrix(
     1 / math.sqrt(2), 1 / math.sqrt(2), 1 / math.sqrt(2), -1 / math.sqrt(2)
 )
-IDENTITY_COIN = CoinMatrix(1, 0, 0, 1)
 
 
 def coined_walk_matrix(
@@ -199,25 +196,3 @@ def first_return_numeric(M: BandedUnitary, max_n: int) -> np.ndarray:
             acc -= a[k] * r[n - k]
         a[n] = acc
     return np.array(a[1:], dtype=complex)
-
-
-def traditional_walk_test(F_coeffs: Sequence, tol: float = 1e-10) -> bool:
-    """Whether F(-z) F(z) = 1 holds through the supplied orders.
-
-    This characterizes walks without self-transitions (even Schur function,
-    vanishing odd-index Verblunsky coefficients).  Exact rational input is
-    compared exactly; floating input within ``tol``.
-    """
-    coeffs = list(F_coeffs)
-    if not coeffs:
-        raise ValueError("need at least the constant coefficient")
-    n = len(coeffs)
-    if all(isinstance(c, (Fraction, int)) for c in coeffs):
-        F = TruncatedSeries(coeffs, n - 1)
-        F_minus = TruncatedSeries([(-1) ** i * c for i, c in enumerate(coeffs)], n - 1)
-        return F_minus * F == TruncatedSeries.constant(1, n - 1)
-    c = np.asarray(coeffs, dtype=complex)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    prod = np.convolve(signs * c, c)[:n]
-    prod[0] -= 1.0
-    return bool(np.max(np.abs(prod)) <= tol)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -299,6 +300,15 @@ assert "numpy" not in sys.modules, "numpy was imported"
     assert result.returncode == 0, result.stderr
 
 
+def test_package_all_names_every_public_binding():
+    bound = {
+        name
+        for name, value in vars(rieszwalk).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(rieszwalk.__all__) == sorted(bound)
+
+
 def test_coin_file_too_short(capsys, tmp_path):
     path = tmp_path / "short.txt"
     path.write_text(HADAMARD_LINE * 2)
@@ -381,6 +391,18 @@ def test_output_file_atomic_and_deterministic(tmp_path):
     assert target.read_bytes() == first
     assert first.startswith(b"index,alpha\n")
     assert not list(tmp_path.glob(".rieszwalk-*"))
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    # A missing parent directory fails to create the temporary file; an
+    # existing directory as the target fails at the final rename.
+    (tmp_path / "d").mkdir()
+    for target in (tmp_path / "missing" / "x.csv", tmp_path / "d"):
+        code, out, err = run(capsys, "moments", "--max", "3", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write output: {target}: ")
+        assert not list(tmp_path.rglob(".rieszwalk-*"))
 
 
 def test_console_invocations_byte_identical():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import dense
 from rieszwalk.ansatz import alpha
 from rieszwalk.cmv import (
     BandedUnitary,
@@ -67,22 +68,21 @@ def test_coefficient_rejects_boundary(bad):
 
 
 def test_free_case_is_shift_pattern():
-    m = free_matrix(8)
-    assert m.entry(0, 2) == 1
-    assert m.entry(1, 0) == 1
-    assert m.entry(2, 4) == 1
-    assert m.entry(3, 1) == 1
+    m = dense(free_matrix(8))
+    assert m[0, 2] == 1
+    assert m[1, 0] == 1
+    assert m[2, 4] == 1
+    assert m[3, 1] == 1
     for r in range(4):
-        row = [m.entry(r, c) for c in range(8)]
-        assert sum(abs(v) for v in row) == 1
+        assert sum(abs(v) for v in m[r]) == 1
 
 
 def test_riesz_entries():
-    m = riesz_matrix(8)
-    assert m.entry(2, 4) == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
-    assert m.entry(0, 2) == 1
-    assert m.entry(2, 3) == pytest.approx(0.5, abs=1e-15)
-    assert m.entry(3, 3) == 0
+    m = dense(riesz_matrix(8))
+    assert m[2, 4] == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
+    assert m[0, 2] == 1
+    assert m[2, 3] == pytest.approx(0.5, abs=1e-15)
+    assert m[3, 3] == 0
 
 
 def test_build_validations():
@@ -101,9 +101,9 @@ def test_entries_iterator_row_major_and_banded():
     entries = list(m.nonzero_entries())
     assert entries == sorted(entries, key=lambda e: (e[0], e[1]))
     assert all(abs(r - c) <= 2 for r, c, _ in entries)
-    dense = m.to_dense()
+    full = dense(m)
     for r, c, v in entries:
-        assert dense[r, c] == v
+        assert full[r, c] == v
 
 
 def test_from_entries_drops_entries_outside_the_matrix():
@@ -112,11 +112,13 @@ def test_from_entries_drops_entries_outside_the_matrix():
 
 
 def test_dense_agrees_with_entry():
+    # bands[o + 2, r] is the entry at (r, r + o); every other entry is zero.
     m = random_matrix(16, seed=11)
-    dense = m.to_dense()
+    full = dense(m)
     for r in range(16):
         for c in range(16):
-            assert dense[r, c] == m.entry(r, c)
+            expected = m.bands[c - r + 2, r] if abs(c - r) <= 2 else 0
+            assert full[r, c] == expected
 
 
 # -- application --------------------------------------------------------------
@@ -137,7 +139,7 @@ def test_apply_matches_dense():
     rng = np.random.default_rng(2)
     state = rng.normal(size=20) + 1j * rng.normal(size=20)
     out = apply_from_source(state, m)
-    assert np.max(np.abs(out - state @ m.to_dense())) <= 1e-14
+    assert np.max(np.abs(out - state @ dense(m))) <= 1e-14
 
 
 def test_apply_preserves_interior_norm():
@@ -181,8 +183,8 @@ def test_unitarity_defect_random():
 
 def test_unitarity_defect_matches_dense_gram():
     m = random_matrix(30, seed=33)
-    dense = m.to_dense()
-    gram = dense.conj().T @ dense
+    full = dense(m)
+    gram = full.conj().T @ full
     interior = gram[:28, :28] - np.eye(28)
     assert unitarity_defect(m) == pytest.approx(np.max(np.abs(interior)), abs=1e-15)
 

@@ -9,6 +9,7 @@ from expected_values import (
     NONZERO_PARAMS_36,
     SCHUR_F,
 )
+from oracles import scale, substitute_quartic
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import (
     FirstReturnSeries,
@@ -53,7 +54,7 @@ def schur_step(state: SchurState) -> SchurState:
     if abs(alpha) >= 1:
         raise ParameterOutOfDisk(f"|alpha_{state.step}| = |{alpha}| >= 1")
     numerator = f.add_constant(-alpha)
-    denominator = f.scale(-alpha).add_constant(1)
+    denominator = scale(f, -alpha).add_constant(1)
     nxt = (numerator * denominator.reciprocal()).shift_down()
     return SchurState(nxt, state.step + 1, state.extracted + (alpha,))
 
@@ -82,7 +83,7 @@ def test_caratheodory_matches_known_expansion():
 
 
 def test_schur_of_trivial_measure_is_zero():
-    f = schur_from_caratheodory(TruncatedSeries.constant(1, 10))
+    f = schur_from_caratheodory(TruncatedSeries([1], 10))
     assert f.valid_order == 9
     assert all(c == 0 for c in f.coefficients)
 
@@ -116,7 +117,7 @@ def test_first_step_sparse_variant():
 
 
 def test_steps_on_zero_series():
-    state = run_steps(TruncatedSeries.zero(8), 5)
+    state = run_steps(TruncatedSeries([], 8), 5)
     assert state.extracted == (F(0),) * 5
     assert state.step == 5
 
@@ -128,7 +129,7 @@ def test_step_precision_ledger():
 
 
 def test_step_exhausts_precision():
-    state = SchurState(TruncatedSeries.zero(0))
+    state = SchurState(TruncatedSeries([], 0))
     with pytest.raises(PrecisionExhausted):
         schur_step(state)
 
@@ -169,7 +170,7 @@ def test_interleaving_composition_law():
     # Substituting z^4 into the dense Caratheodory series gives the sparse
     # one, and the parameter sequences interleave with three zeros.
     G = caratheodory_series(12, NU)
-    assert G.substitute_quartic() == caratheodory_series(51, MU)
+    assert substitute_quartic(G) == caratheodory_series(51, MU)
 
     sparse = extract_verblunsky(caratheodory_series(20, MU), 19)
     dense = extract_verblunsky(caratheodory_series(6, NU), 4)
@@ -248,3 +249,9 @@ def test_cumulative_return_probability():
 def test_first_return_series_rejects_excess_probability():
     with pytest.raises(ValueError):
         FirstReturnSeries((F(1), F(1)))
+    # A total of exactly one is a valid return probability.
+    exact = FirstReturnSeries((F(3, 5), F(4, 5)))
+    assert cumulative_return_probability(exact) == (F(9, 25), F(1))
+    # The partial sums pass one only at the last term.
+    with pytest.raises(ValueError):
+        FirstReturnSeries((F(3, 5), F(4, 5), F(1, 1000)))

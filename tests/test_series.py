@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import add, substitute_quartic
 from rieszwalk.riesz import MeasureVariant, caratheodory_series
 from rieszwalk.series import NonzeroConstantTerm, TruncatedSeries, ZeroConstantTerm
 
@@ -92,23 +93,26 @@ def test_kernel_matches_oracle_on_generated_series():
     check()
 
 
+# ``add`` is the test-side sum; these pin it before the ring checks rely on it.
+
+
 def test_add_basic():
     a = S([1, 1], 6)
     b = S([1, -1], 4)
-    out = a + b
+    out = add(a, b)
     assert out.valid_order == 4
     assert list(out.coefficients) == [F(2), 0, 0, 0, 0]
 
 
 def test_add_identity():
     a = S([F(1, 3), F(2, 7), 5], 9)
-    assert a + TruncatedSeries.zero(9) == a
+    assert add(a, S([], 9)) == a
 
 
 def test_add_like_terms():
     a = S([0, 0, 0, F(1, 2)], 5)
     b = S([0, 0, 0, F(-1, 4)], 5)
-    assert (a + b).coefficient(3) == F(1, 4)
+    assert add(a, b).coefficient(3) == F(1, 4)
 
 
 def test_mul_difference_of_squares():
@@ -118,7 +122,7 @@ def test_mul_difference_of_squares():
 
 def test_mul_identity():
     a = S([F(3, 5), 0, F(-2, 9), 1], 7)
-    assert a * TruncatedSeries.constant(1, 7) == a
+    assert a * S([1], 7) == a
 
 
 def test_mul_telescopes_geometric():
@@ -131,7 +135,7 @@ def test_mul_telescopes_geometric():
 def test_valid_order_min_rule():
     a = S([1, 2, 3], 2)
     b = S([1], 12)
-    assert (a + b).valid_order == 2
+    assert add(a, b).valid_order == 2
     assert (a * b).valid_order == 2
 
 
@@ -142,7 +146,7 @@ def test_reciprocal_geometric():
 
 
 def test_reciprocal_constant():
-    assert TruncatedSeries.constant(F(1, 2), 3).reciprocal() == TruncatedSeries.constant(2, 3)
+    assert S([F(1, 2)], 3).reciprocal() == S([2], 3)
 
 
 def test_reciprocal_long_division():
@@ -157,7 +161,7 @@ def test_reciprocal_zero_constant_raises():
     with pytest.raises(ZeroConstantTerm):
         S([0, 1], 4).reciprocal()
     with pytest.raises(ZeroConstantTerm):
-        TruncatedSeries.zero(-1).reciprocal()
+        S([], -1).reciprocal()
 
 
 def test_shift_down():
@@ -169,7 +173,7 @@ def test_shift_down():
 
 
 def test_shift_down_monomial():
-    assert S([0, 1], 1).shift_down() == TruncatedSeries.constant(1, 0)
+    assert S([0, 1], 1).shift_down() == S([1], 0)
 
 
 def test_shift_down_order_ledger():
@@ -183,7 +187,7 @@ def test_shift_down_nonzero_constant_raises():
 
 def test_substitute_quartic():
     g = S([F(1, 2), F(-1, 3)], 1)
-    out = g.substitute_quartic()
+    out = substitute_quartic(g)
     assert out.valid_order == 7
     assert out.coefficient(0) == F(1, 2)
     assert out.coefficient(4) == F(-1, 3)
@@ -191,8 +195,8 @@ def test_substitute_quartic():
 
 
 def test_substitute_quartic_zero_and_monomial():
-    assert TruncatedSeries.zero(2).substitute_quartic() == TruncatedSeries.zero(11)
-    out = S([0, 1], 1).substitute_quartic()
+    assert substitute_quartic(S([], 2)) == S([], 11)
+    out = substitute_quartic(S([0, 1], 1))
     assert out.coefficient(4) == 1 and out.valid_order == 7
 
 
@@ -219,8 +223,8 @@ def test_ring_axioms_random():
     for _ in range(60):
         order = rng.randint(0, 7)
         a, b, c = (_random_series(rng, order) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert a * add(b, c) == add(a * b, a * c)
         assert a * b == b * a
 
 
@@ -232,7 +236,7 @@ def test_reciprocal_roundtrip_random():
         if a.coefficient(0) == 0:
             a = a.add_constant(1)
         prod = a * a.reciprocal()
-        assert prod == TruncatedSeries.constant(1, order)
+        assert prod == S([1], order)
 
 
 def test_coefficients_stay_canonical():
@@ -241,6 +245,6 @@ def test_coefficients_stay_canonical():
     for _ in range(30):
         a = _random_series(rng, 5)
         b = _random_series(rng, 5)
-        for c in (a * b + a).coefficients:
+        for c in add(a * b, a).coefficients:
             assert c.denominator >= 1
             assert F(c.numerator, c.denominator) == c
