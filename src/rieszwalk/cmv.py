@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-AlphaLike = Union["VerblunskyCoefficient", Fraction, complex, float, int]
+AlphaLike = Union[Fraction, complex, float, int]
 Entry = tuple[int, int, complex]  # (row, col, value)
 
 
@@ -46,10 +46,6 @@ class VerblunskyCoefficient:
     __slots__ = ("value", "rho")
 
     def __init__(self, value: AlphaLike):
-        if isinstance(value, VerblunskyCoefficient):
-            self.value = value.value
-            self.rho = value.rho
-            return
         if isinstance(value, (Fraction, int)):
             if abs(value) >= 1:
                 raise CoefficientOutOfDisk(f"|{value}| >= 1")

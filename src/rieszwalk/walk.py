@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .cmv import (
     BandedUnitary,
     DimensionMismatch,
     DimensionTooSmall,
-    VerblunskyCoefficient,
     apply_from_source,
     build_cmv,
     spectral_moments,
@@ -91,7 +90,7 @@ def coined_walk_matrix(
     return BandedUnitary.from_entries(dim, entries())
 
 
-def hadamard_alpha(count: int) -> list[VerblunskyCoefficient]:
+def hadamard_alpha(count: int) -> list[float]:
     """Verblunsky coefficients of the Hadamard walk with the reflecting origin.
 
     Every other coefficient vanishes and the non-zero ones have modulus
@@ -101,13 +100,7 @@ def hadamard_alpha(count: int) -> list[VerblunskyCoefficient]:
     derives the conjugating phases rather than assuming them.
     """
     a = 1 / math.sqrt(2)
-    out = []
-    for j in range(count):
-        if j % 2:
-            out.append(VerblunskyCoefficient(0.0))
-        else:
-            out.append(VerblunskyCoefficient(a if (j // 2) % 2 == 0 else -a))
-    return out
+    return [0.0 if j % 2 else (-a if j % 4 else a) for j in range(count)]
 
 
 def riesz_walk_matrix(dim: int) -> BandedUnitary:
@@ -120,7 +113,6 @@ class WalkState:
     """Amplitude vector over |site> tensor |spin> basis states."""
 
     amplitudes: np.ndarray
-    step_count: int = 0
 
     @classmethod
     def origin_up(cls, dim: int) -> "WalkState":
@@ -134,17 +126,17 @@ class WalkState:
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Site-probability law of a walk state after ``step_count`` steps."""
+    """Site-probability law of a walk state."""
 
     probabilities: np.ndarray
-    step_count: int
 
 
-def evolve(M: BandedUnitary, initial: WalkState, steps: int) -> WalkState:
-    """Apply ``steps`` one-step transitions; the truncation must be safe.
+def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[WalkState]:
+    """Yield the state after each of steps 1..steps; the truncation must be safe.
 
-    The support spreads by at most two indices per step; the required
-    dimension keeps it away from the deficient last columns for every step.
+    Every check runs before the first state is yielded.  The support spreads
+    by at most two indices per step; the required dimension keeps it away
+    from the deficient last columns for every step.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -154,9 +146,7 @@ def evolve(M: BandedUnitary, initial: WalkState, steps: int) -> WalkState:
             f"state length {v.shape[0] if v.ndim == 1 else v.shape} "
             f"!= dimension {M.dimension}"
         )
-    # Only a small dim or a state in the last 2 * steps + 2 indices can fail the rule.
-    edge = M.dimension - 2 * steps - 2
-    if steps and (edge < 6 or v[edge:].any()):
+    if steps:
         support = np.nonzero(v)[0]
         high = int(support[-1]) if support.size else 0
         needed = 2 * steps + 8 if high <= 1 else high + 2 * steps + 3
@@ -166,7 +156,15 @@ def evolve(M: BandedUnitary, initial: WalkState, steps: int) -> WalkState:
             )
     for _ in range(steps):
         v = apply_from_source(v, M)
-    return WalkState(v, initial.step_count + steps)
+        yield WalkState(v)
+
+
+def evolve(M: BandedUnitary, initial: WalkState, steps: int) -> WalkState:
+    """The last state of ``trajectory``; the initial state, as an array, for 0 steps."""
+    state = WalkState(np.asarray(initial.amplitudes, dtype=complex))
+    for state in trajectory(M, initial, steps):
+        pass
+    return state
 
 
 def position_distribution(state: WalkState) -> PositionDistribution:
@@ -176,7 +174,7 @@ def position_distribution(state: WalkState) -> PositionDistribution:
     padded = np.zeros(2 * n_sites, dtype=complex)
     padded[: amp.shape[0]] = amp
     probs = np.abs(padded[0::2]) ** 2 + np.abs(padded[1::2]) ** 2
-    return PositionDistribution(probs, state.step_count)
+    return PositionDistribution(probs)
 
 
 def first_return_numeric(M: BandedUnitary, max_n: int) -> np.ndarray:

@@ -310,11 +310,13 @@ def test_package_all_names_every_public_binding():
 
 
 def test_coin_file_too_short(capsys, tmp_path):
+    # walk --steps 4 runs at dim 16, i.e. 8 sites, one coin each.
     path = tmp_path / "short.txt"
-    path.write_text(HADAMARD_LINE * 2)
-    code, _, err = run(capsys, "walk", "--coin", f"file:{path}", "--steps", "8")
+    path.write_text(HADAMARD_LINE * 3)
+    code, out, err = run(capsys, "walk", "--coin", f"file:{path}", "--steps", "4")
     assert code == 2
-    assert "coins" in err
+    assert "need at least 8 coins, got 3" in err
+    assert out == ""
 
 
 def test_missing_coin_file(capsys, tmp_path):

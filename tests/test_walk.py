@@ -18,6 +18,7 @@ from rieszwalk.walk import (
     hadamard_alpha,
     position_distribution,
     riesz_walk_matrix,
+    trajectory,
 )
 
 R = 1 / math.sqrt(2)
@@ -154,9 +155,9 @@ def test_coined_walk_validations():
 
 def test_hadamard_alpha_shape():
     seq = hadamard_alpha(10)
-    assert seq[0].value == pytest.approx(R)
-    assert all(seq[j].value == 0 for j in range(1, 10, 2))
-    assert all(abs(abs(seq[j].value) - R) <= 1e-15 for j in range(0, 10, 2))
+    assert seq[0] == pytest.approx(R)
+    assert all(seq[j] == 0 for j in range(1, 10, 2))
+    assert all(abs(abs(seq[j]) - R) <= 1e-15 for j in range(0, 10, 2))
 
 
 def test_hadamard_alpha_conjugation_oracle():
@@ -215,7 +216,12 @@ def test_evolve_zero_steps_is_identity():
     state = WalkState.origin_up(16)
     out = evolve(m, state, 0)
     assert np.array_equal(out.amplitudes, state.amplitudes)
-    assert out.step_count == 0
+    # Still checked, and still backed by an array, with nothing to step.
+    listed = evolve(m, WalkState(state.amplitudes.tolist()), 0)
+    assert isinstance(listed.amplitudes, np.ndarray)
+    assert np.array_equal(listed.amplitudes, state.amplitudes)
+    with pytest.raises(DimensionMismatch):
+        evolve(m, WalkState.origin_up(8), 0)
 
 
 def test_evolve_hadamard_one_step():
@@ -226,7 +232,28 @@ def test_evolve_hadamard_one_step():
     dist = position_distribution(out)
     assert dist.probabilities[0] == pytest.approx(0.5)
     assert dist.probabilities[1] == pytest.approx(0.5)
-    assert dist.step_count == 1
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [riesz_walk_matrix(108), coined_walk_matrix(HADAMARD_COIN, 108)],
+    ids=["riesz", "hadamard"],
+)
+def test_trajectory_states_are_evolve_states(matrix):
+    start = WalkState.origin_up(108)
+    states = list(trajectory(matrix, start, 50))
+    assert len(states) == 50
+    for k, state in enumerate(states, 1):
+        assert state.amplitudes.tobytes() == evolve(matrix, start, k).amplitudes.tobytes()
+
+
+def test_trajectory_checks_before_first_state():
+    # The first next() raises: no state comes before the check.
+    with pytest.raises(DimensionTooSmall):
+        next(trajectory(riesz_walk_matrix(16), WalkState.origin_up(16), 5))
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        next(trajectory(riesz_walk_matrix(16), WalkState.origin_up(16), -1))
+    assert list(trajectory(riesz_walk_matrix(16), WalkState.origin_up(16), 0)) == []
 
 
 def test_evolve_dim_guard():
