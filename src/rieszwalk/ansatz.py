@@ -50,7 +50,6 @@ def count_up_to(j: int, n: int) -> int:
     return (n + gap - first_positive(j)) // gap
 
 
-@lru_cache(maxsize=None)
 def weighted_count(n: int) -> int:
     """Sum over progressions of (members in [1, n]) * weight(4 + j).
 
@@ -169,10 +168,6 @@ class VerificationReport:
     ansatz_values: tuple[Fraction, ...]
     schur_values: tuple[Fraction, ...]
     first_mismatch: Optional[int]
-
-    @property
-    def checked(self) -> int:
-        return len(self.schur_values)
 
     @property
     def ok(self) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -62,7 +63,7 @@ def _json_cell(value, use_float: bool):
 
 def write_table(columns: list[str], rows: list[list], args) -> None:
     """Render and atomically emit one table."""
-    use_float = getattr(args, "float", False)
+    use_float = args.float
     if args.format == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_csv_cell(v, use_float) for v in row) for row in rows)
@@ -82,6 +83,14 @@ def write_table(columns: list[str], rows: list[list], args) -> None:
         try:
             with os.fdopen(fd, "w", newline="") as handle:
                 handle.write(text)
+            # As open(path, "w"): keep an existing target's mode, else the umask's.
+            try:
+                mode = stat.S_IMODE(os.stat(args.output).st_mode)
+            except OSError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.chmod(tmp, mode)
             os.replace(tmp, args.output)
         except BaseException:
             if os.path.exists(tmp):
@@ -92,14 +101,6 @@ def write_table(columns: list[str], rows: list[list], args) -> None:
         raise InputError(
             f"cannot write output: {args.output}: {exc.strerror or exc}"
         ) from exc
-
-
-def _variant(name: str) -> MeasureVariant:
-    return MeasureVariant.MU if name == "mu" else MeasureVariant.NU
-
-
-def _real_or_complex(z: complex):
-    return z.real if z.imag == 0 else z
 
 
 def parse_coin_file(path: str) -> list[walk.CoinMatrix]:
@@ -148,21 +149,13 @@ def _walk_matrix(coin: str, dim: int) -> BandedUnitary:
     raise InputError(f"unknown coin {coin!r}")
 
 
-def _cmv_matrix(coin: str, dim: int) -> BandedUnitary:
-    from . import cmv, walk
-
-    if coin == "hadamard":
-        return cmv.build_cmv(walk.hadamard_alpha(dim), dim)
-    return _walk_matrix(coin, dim)
-
-
 def _write_matrix(matrix: BandedUnitary, args) -> None:
     rows = [[r, c, v.real, v.imag] for r, c, v in matrix.nonzero_entries()]
     write_table(["row", "col", "real", "imag"], rows, args)
 
 
 def cmd_moments(args) -> int:
-    variant = _variant(args.variant)
+    variant = MeasureVariant(args.variant)
     rows = [[j, moment(j, variant)] for j in range(args.max + 1)]
     write_table(["j", "moment"], rows, args)
     return 0
@@ -176,14 +169,13 @@ def cmd_verblunsky(args) -> int:
         # the dense one.
         return 4 * m - 1 if args.variant == "mu" else m - 1
 
-    if args.method == "ansatz":
-        rows = [[index_of(m), ansatz.nonzero_alpha(m)] for m in range(1, count + 1)]
-        write_table(["index", "alpha"], rows, args)
-        return 0
-    if args.method == "schur":
-        G = caratheodory_series(count + 1, MeasureVariant.NU)
-        schur_values = extract_verblunsky(G, count)
-        rows = [[index_of(m), schur_values[m - 1]] for m in range(1, count + 1)]
+    if args.method != "both":
+        if args.method == "ansatz":
+            values = [ansatz.nonzero_alpha(m) for m in range(1, count + 1)]
+        else:
+            G = caratheodory_series(count + 1, MeasureVariant.NU)
+            values = extract_verblunsky(G, count)
+        rows = [[index_of(m), v] for m, v in enumerate(values, 1)]
         write_table(["index", "alpha"], rows, args)
         return 0
     report = ansatz.verify_ansatz(count)
@@ -259,7 +251,7 @@ def cmd_first_return(args) -> int:
         matrix = _walk_matrix(args.coin, 2 * max_n + 8)
         numeric = walk.first_return_numeric(matrix, max_n)
     if args.method == "numeric":
-        amplitudes = [_real_or_complex(complex(a)) for a in numeric]
+        amplitudes = [z.real if z.imag == 0 else z for z in map(complex, numeric)]
         cumulative = accumulate(abs(a) ** 2 for a in numeric)
     columns = ["n", "amplitude", "cumulative_probability"]
     table = [range(1, max_n + 1), amplitudes, cumulative]
@@ -271,13 +263,21 @@ def cmd_first_return(args) -> int:
         table.append(gaps)
     write_table(columns, [list(row) for row in zip(*table)], args)
     if worst > DISCREPANCY_LIMIT:
-        print(f"exact/numeric discrepancy {worst:.3e} exceeds 1e-08", file=sys.stderr)
+        message = f"exact/numeric discrepancy {worst:.3e} exceeds {DISCREPANCY_LIMIT:.0e}"
+        print(message, file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_cmv(args) -> int:
-    _write_matrix(_cmv_matrix(args.coin, args.dim), args)
+    if args.coin == "hadamard":
+        # The Hadamard walk's own CMV operator, not its coined matrix.
+        from . import cmv, walk
+
+        matrix = cmv.build_cmv(walk.hadamard_alpha(args.dim), args.dim)
+    else:
+        matrix = _walk_matrix(args.coin, args.dim)
+    _write_matrix(matrix, args)
     return 0
 
 

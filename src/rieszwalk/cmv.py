@@ -36,32 +36,22 @@ class DimensionTooSmall(ValueError):
     """Truncation too small for the requested number of exact steps."""
 
 
-class VerblunskyCoefficient:
-    """A point of the open unit disk together with rho = sqrt(1 - |value|^2).
+def disk_point(value: AlphaLike) -> tuple[complex, float]:
+    """A point of the open unit disk as (value, rho = sqrt(1 - |value|^2)).
 
     For exact rational input the complement 1 - value^2 is formed exactly and
     rounded to float once, so rho carries no avoidable rounding error.
     """
-
-    __slots__ = ("value", "rho")
-
-    def __init__(self, value: AlphaLike):
-        if isinstance(value, (Fraction, int)):
-            if abs(value) >= 1:
-                raise CoefficientOutOfDisk(f"|{value}| >= 1")
-            self.rho = math.sqrt(1 - value * value)
-            self.value = complex(value)
-            return
-        z = complex(value)
-        mag2 = z.real * z.real + z.imag * z.imag
-        # Written so that NaN, which compares False, is rejected too.
-        if not (mag2 < 1.0):
-            raise CoefficientOutOfDisk(f"{z} is not inside the unit disk")
-        self.rho = math.sqrt(1.0 - mag2)
-        self.value = z
-
-    def __repr__(self) -> str:
-        return f"VerblunskyCoefficient({self.value!r})"
+    if isinstance(value, (Fraction, int)):
+        if abs(value) >= 1:
+            raise CoefficientOutOfDisk(f"|{value}| >= 1")
+        return complex(value), math.sqrt(1 - value * value)
+    z = complex(value)
+    mag2 = z.real * z.real + z.imag * z.imag
+    # Written so that NaN, which compares False, is rejected too.
+    if not (mag2 < 1.0):
+        raise CoefficientOutOfDisk(f"{z} is not inside the unit disk")
+    return z, math.sqrt(1.0 - mag2)
 
 
 class BandedUnitary:
@@ -106,31 +96,26 @@ def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
         raise ValueError("dim must be >= 2")
     if len(alphas) < dim:
         raise ValueError(f"need at least {dim} coefficients, got {len(alphas)}")
-    # Past the cut alpha = 0, rho = 1; every entry built from it is dropped.
-    coeff = [VerblunskyCoefficient(a) for a in alphas[:dim]]
-    coeff.append(VerblunskyCoefficient(0.0))
-
-    def a(j: int) -> complex:
-        # j = -1 encodes the boundary: a fictitious coefficient -1 makes the
-        # first two rows come out of the same block formula as the rest.
-        return -1.0 + 0j if j < 0 else coeff[j].value
-
-    def r(j: int) -> float:
-        return 0.0 if j < 0 else coeff[j].rho
+    # a[j + 1] and r[j + 1] hold alpha_j and its rho, so the block formula's
+    # alpha_(k-1), alpha_k, alpha_(k+1) are a[k], a[k + 1], a[k + 2].  In front
+    # sits the boundary: a fictitious coefficient -1 makes the first two rows
+    # come out of the same block formula as the rest.  Past the cut alpha = 0,
+    # rho = 1; every entry built from it is dropped.
+    a, r = zip((-1.0 + 0j, 0.0), *map(disk_point, alphas[:dim]), (0j, 1.0))
 
     def entries() -> Iterator[Entry]:
         for row in range(dim):
             k = 2 * (row // 2)
             if row % 2 == 0:
-                yield row, k - 1, r(k - 1) * np.conj(a(k))
-                yield row, k, -a(k - 1) * np.conj(a(k))
-                yield row, k + 1, r(k) * np.conj(a(k + 1))
-                yield row, k + 2, r(k) * r(k + 1)
+                yield row, k - 1, r[k] * np.conj(a[k + 1])
+                yield row, k, -a[k] * np.conj(a[k + 1])
+                yield row, k + 1, r[k + 1] * np.conj(a[k + 2])
+                yield row, k + 2, r[k + 1] * r[k + 2]
             else:
-                yield row, k - 1, r(k - 1) * r(k)
-                yield row, k, -a(k - 1) * r(k)
-                yield row, k + 1, -a(k) * np.conj(a(k + 1))
-                yield row, k + 2, -a(k) * r(k + 1)
+                yield row, k - 1, r[k] * r[k + 1]
+                yield row, k, -a[k] * r[k + 1]
+                yield row, k + 1, -a[k + 1] * np.conj(a[k + 2])
+                yield row, k + 2, -a[k + 1] * r[k + 2]
 
     return BandedUnitary.from_entries(dim, entries())
 

@@ -11,7 +11,9 @@ exists to check a production route by a second, unrelated one:
   exact layer does not need, built through the ``TruncatedSeries``
   constructor so that the valid-order ledger still applies;
 * ``dense``: the full matrix of a ``BandedUnitary``, from its non-zero
-  entries.
+  entries;
+* ``cmv_from_theta``: the CMV matrix as the product L M of 2x2 blocks,
+  against ``cmv.build_cmv``.
 """
 
 from __future__ import annotations
@@ -120,3 +122,26 @@ def dense(M: BandedUnitary) -> np.ndarray:
     for r, c, v in M.nonzero_entries():
         out[r, c] = v
     return out
+
+
+def cmv_from_theta(alphas: Sequence[complex], dim: int) -> np.ndarray:
+    """Leading dim x dim block of the CMV matrix C = L M, built densely.
+
+    With Theta_j = [[conj(alpha_j), rho_j], [rho_j, -alpha_j]], L is
+    Theta_0 + Theta_2 + ... and M is 1 + Theta_1 + Theta_3 + ... (direct
+    sums), both of size dim + 2 from alphas[:dim + 2] (Simon, OPUC, 4.2).
+    Blocks cut by the edge keep their leading rows and columns; the cut
+    block does not reach the leading dim x dim corner.
+    """
+    n = dim + 2
+    a = np.asarray(alphas[:n], dtype=complex)
+    rho = np.sqrt(1 - np.abs(a) ** 2)
+    L = np.zeros((n, n), dtype=complex)
+    M = np.zeros((n, n), dtype=complex)
+    M[0, 0] = 1
+    for j in range(n):
+        block = np.array([[np.conj(a[j]), rho[j]], [rho[j], -a[j]]])
+        size = min(2, n - j)
+        target = L if j % 2 == 0 else M
+        target[j : j + size, j : j + size] = block[:size, :size]
+    return (L @ M)[:dim, :dim]

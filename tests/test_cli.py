@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 import types
@@ -243,6 +245,22 @@ def test_cmv_dump(capsys):
     assert pairs == sorted(pairs)
 
 
+def test_cmv_hadamard_dumps_the_cmv_operator(capsys):
+    from rieszwalk.cmv import build_cmv
+    from rieszwalk.walk import HADAMARD_COIN, coined_walk_matrix, hadamard_alpha
+
+    def as_rows(matrix):
+        return [
+            [str(r), str(c), repr(v.real), repr(v.imag)] for r, c, v in matrix.nonzero_entries()
+        ]
+
+    code, out, _ = run(capsys, "cmv", "--coin", "hadamard", "--dim", "6")
+    _, rows = rows_of(out)
+    assert code == 0
+    assert rows == as_rows(build_cmv(hadamard_alpha(6), 6))
+    assert rows != as_rows(coined_walk_matrix(HADAMARD_COIN, 6))
+
+
 # -- coin files ----------------------------------------------------------------------------
 
 
@@ -370,6 +388,7 @@ def test_first_return_discrepancy_exits_1(capsys, monkeypatch):
     )
     assert code == 1
     assert "discrepancy" in err
+    assert re.fullmatch(r"exact/numeric discrepancy \d\.\d{3}e-\d\d exceeds 1e-08\n", err)
 
 
 # -- process-level behaviour ------------------------------------------------------------------
@@ -393,6 +412,30 @@ def test_output_file_atomic_and_deterministic(tmp_path):
     assert target.read_bytes() == first
     assert first.startswith(b"index,alpha\n")
     assert not list(tmp_path.glob(".rieszwalk-*"))
+
+
+def test_output_file_mode_matches_plain_write(tmp_path):
+    # mkstemp alone would leave 0600; the file should get what open() gives:
+    # the umask's mode when new, its own mode when it already exists.
+    def mode(path):
+        return stat.S_IMODE(path.stat().st_mode)
+
+    old_umask = os.umask(0o022)
+    try:
+        sibling = tmp_path / "plain.csv"
+        target = tmp_path / "out.csv"
+        argv = ["moments", "--max", "2", "--output", str(target)]
+        open(sibling, "w").close()
+        assert main(argv) == 0  # a new target
+        assert mode(target) == mode(sibling) == 0o644
+        for existing in (0o644, 0o600):
+            sibling.chmod(existing)
+            target.chmod(existing)
+            open(sibling, "w").close()
+            assert main(argv) == 0  # an existing target
+            assert mode(target) == mode(sibling) == existing
+    finally:
+        os.umask(old_umask)
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):

@@ -5,16 +5,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import dense
+from oracles import cmv_from_theta, dense
 from rieszwalk.ansatz import alpha
 from rieszwalk.cmv import (
     BandedUnitary,
     CoefficientOutOfDisk,
     DimensionMismatch,
     DimensionTooSmall,
-    VerblunskyCoefficient,
     apply_from_source,
     build_cmv,
+    disk_point,
     spectral_moments,
     unitarity_defect,
 )
@@ -29,30 +29,33 @@ def riesz_matrix(dim: int) -> BandedUnitary:
     return build_cmv([alpha(j) for j in range(dim)], dim)
 
 
-def random_matrix(dim: int, seed: int) -> BandedUnitary:
+def random_alphas(count: int, seed: int) -> list[complex]:
     rng = random.Random(seed)
-    alphas = [
+    return [
         complex(rng.uniform(-0.65, 0.65), rng.uniform(-0.65, 0.65))
-        for _ in range(dim)
+        for _ in range(count)
     ]
-    return build_cmv(alphas, dim)
+
+
+def random_matrix(dim: int, seed: int) -> BandedUnitary:
+    return build_cmv(random_alphas(dim, seed), dim)
 
 
 # -- coefficients -------------------------------------------------------------
 
 
 def test_coefficient_from_exact_rational():
-    c = VerblunskyCoefficient(F(1, 2))
-    assert c.value == 0.5
-    assert c.rho == math.sqrt(0.75)
+    value, rho = disk_point(F(1, 2))
+    assert value == 0.5
+    assert rho == math.sqrt(0.75)
 
 
 def test_coefficient_identity_holds():
     rng = random.Random(3)
     for _ in range(100):
         z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        c = VerblunskyCoefficient(z)
-        assert abs(abs(c.value) ** 2 + c.rho**2 - 1) <= 1e-14
+        value, rho = disk_point(z)
+        assert abs(abs(value) ** 2 + rho**2 - 1) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -61,7 +64,7 @@ def test_coefficient_identity_holds():
 )
 def test_coefficient_rejects_boundary(bad):
     with pytest.raises(CoefficientOutOfDisk):
-        VerblunskyCoefficient(bad)
+        disk_point(bad)
 
 
 # -- construction -------------------------------------------------------------
@@ -83,6 +86,17 @@ def test_riesz_entries():
     assert m[0, 2] == 1
     assert m[2, 3] == pytest.approx(0.5, abs=1e-15)
     assert m[3, 3] == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 15, 16])
+def test_complex_entries_match_theta_factorization(dim):
+    # Complex coefficients tell alpha from its conjugate and catch a shifted
+    # index, which the real Riesz and Hadamard coefficients cannot.
+    alphas = random_alphas(dim + 2, seed=dim)
+    got = dense(build_cmv(alphas, dim))
+    want = cmv_from_theta(alphas, dim)
+    assert np.array_equal(got != 0, want != 0)
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_build_validations():
