@@ -67,9 +67,7 @@ def schur_from_caratheodory(F: TruncatedSeries) -> TruncatedSeries:
     """Schur function f = (F - 1) / (z (F + 1)); valid order drops by one."""
     if F.valid_order < 0 or F.coefficient(0) != 1:
         raise ValueError("Caratheodory series must have constant term 1")
-    numerator = F.add_constant(-1)
-    denominator = F.add_constant(1)
-    return (numerator * denominator.reciprocal()).shift_down()
+    return F.add_constant(-1).shift_down() / F.add_constant(1)
 
 
 def _fraction_free_start(F: TruncatedSeries, length: int) -> tuple[list[int], list[int]]:
@@ -77,9 +75,7 @@ def _fraction_free_start(F: TruncatedSeries, length: int) -> tuple[list[int], li
     p_frac = [F.coefficient(k) for k in range(1, length + 1)]
     q_frac = [F.coefficient(k) for k in range(length)]
     q_frac[0] += 1
-    scale = 1
-    for c in p_frac + q_frac:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in p_frac + q_frac))
     p = [int(c * scale) for c in p_frac]
     q = [int(c * scale) for c in q_frac]
     return p, q
@@ -92,7 +88,7 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
     Moebius-shift, divide by z) on the series ``count`` times, but carries
     the iterate as a ratio of two integer-coefficient polynomials: each step
     is then a linear combination plus a shift instead of a series
-    reciprocal.  ``tests/test_schur.py`` keeps the series stepper as an
+    division.  ``tests/test_schur.py`` keeps the series stepper as an
     oracle and pins the two routes to bit-identical results.
     """
     if count < 0:
@@ -154,8 +150,9 @@ def renewal_first_return(
     if Fraction(moments[0]) != 1:
         raise ValueError("zeroth moment must be 1")
     r = TruncatedSeries(moments[: max_n + 1], max_n)
+    inverse = TruncatedSeries([1], max_n) / r
     # 1 - 1/r(z) has constant term 0 and the negated coefficients of 1/r above it.
-    return FirstReturnSeries(tuple(-c for c in r.reciprocal().coefficients[1:]))
+    return FirstReturnSeries(tuple(-c for c in inverse.coefficients[1:]))
 
 
 def cumulative_return_probability(a: FirstReturnSeries) -> tuple[Fraction, ...]:

@@ -3,7 +3,7 @@
 Every series carries an explicit ``valid_order``: the highest order whose
 coefficient is trustworthy.  Operations never read a coefficient beyond the
 valid order of their inputs, and each operation's output valid order follows
-a fixed rule (min for products, minus one for the downward shift).
+a fixed rule (min for quotients, minus one for the downward shift).
 This explicit ledger exists because the Verblunsky extraction loop loses
 exactly one trustworthy order per step, and silently reading past the valid
 order is the main correctness hazard of the whole computation.
@@ -21,7 +21,7 @@ CoefficientLike = Union[Fraction, int]
 
 
 class ZeroConstantTerm(ValueError):
-    """Reciprocal requested for a series whose constant term is zero."""
+    """Division by a series whose constant term is zero or untrusted."""
 
 
 class NonzeroConstantTerm(ValueError):
@@ -34,19 +34,14 @@ def _nonzero_terms(coeffs: Sequence[Fraction]) -> list[tuple[int, int, int]]:
 
 
 def _convolve_at(
-    terms: list[tuple[int, int, int]],
-    nums: Sequence[int],
-    dens: Sequence[int],
-    n: int,
-    scale_num: int = 1,
-    scale_den: int = 1,
-) -> Fraction:
-    """(scale_num / scale_den) * sum of a_i b_(n-i), as one exact Fraction.
+    terms: list[tuple[int, int, int]], nums: Sequence[int], dens: Sequence[int], n: int
+) -> tuple[int, int]:
+    """The sum of a_i b_(n-i) as an unreduced integer pair (numerator, denominator).
 
     ``terms`` lists the non-zero a_i by increasing i (see ``_nonzero_terms``);
     those with i > n do not enter.  b_k is ``nums[k] / dens[k]``.  The products stay
     integer pairs and are summed over their least common denominator, so the
-    gcd normalization runs once per coefficient instead of twice per term.
+    caller can normalize once per coefficient instead of twice per term.
     """
     ps, qs = [], []
     for i, p, q in terms:
@@ -57,10 +52,9 @@ def _convolve_at(
             ps.append(p * b)
             qs.append(q * dens[n - i])
     if not ps:
-        return Fraction(0)
+        return 0, 1
     lcm = math.lcm(*qs)
-    total = sum(p * (lcm // q) for p, q in zip(ps, qs))
-    return Fraction(scale_num * total, scale_den * lcm)
+    return sum(p * (lcm // q) for p, q in zip(ps, qs)), lcm
 
 
 class TruncatedSeries:
@@ -115,21 +109,28 @@ class TruncatedSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Quotient through the common valid order, by long division.
+
+        h_n = (a_n - sum_(i>=1) b_i h_(n-i)) / b_0 reads a and b only up to
+        order n, so every output order is as trustworthy as both inputs.
+        """
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        # Both factors have nonnegative valuation, so the Cauchy product
-        # through the common valid order uses only trustworthy coefficients.
+        if other.valid_order < 0 or not other._coeffs[0]:
+            raise ZeroConstantTerm("divisor has no invertible constant term")
+        b0 = other._coeffs[0]
+        terms = _nonzero_terms(other._coeffs)[1:]
         order = min(self.valid_order, other.valid_order)
-        terms, dense = _nonzero_terms(self._coeffs), other._coeffs
-        other_terms = _nonzero_terms(other._coeffs)
-        if len(other_terms) < len(terms):
-            terms, dense = other_terms, self._coeffs
-        nums = [c.numerator for c in dense]
-        dens = [c.denominator for c in dense]
-        return TruncatedSeries(
-            [_convolve_at(terms, nums, dens, n) for n in range(order + 1)], order
-        )
+        out, nums, dens = [], [], []
+        for n, a in enumerate(self._coeffs[: order + 1]):
+            total, lcm = _convolve_at(terms, nums, dens, n)
+            num = (a.numerator * lcm - a.denominator * total) * b0.denominator
+            c = Fraction(num, a.denominator * lcm * b0.numerator)
+            out.append(c)
+            nums.append(c.numerator)
+            dens.append(c.denominator)
+        return TruncatedSeries(out, order)
 
     def add_constant(self, value: CoefficientLike) -> "TruncatedSeries":
         if self.valid_order < 0:
@@ -140,21 +141,6 @@ class TruncatedSeries:
         return TruncatedSeries(coeffs, self.valid_order)
 
     # -- structural operations ----------------------------------------------
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse through the same valid order."""
-        if self.valid_order < 0 or not self._coeffs[0]:
-            raise ZeroConstantTerm("series has no invertible constant term")
-        inv0 = 1 / self._coeffs[0]
-        terms = _nonzero_terms(self._coeffs)[1:]
-        out = [inv0]
-        nums, dens = [inv0.numerator], [inv0.denominator]
-        for n in range(1, self.valid_order + 1):
-            c = _convolve_at(terms, nums, dens, n, -inv0.numerator, inv0.denominator)
-            out.append(c)
-            nums.append(c.numerator)
-            dens.append(c.denominator)
-        return TruncatedSeries(out, self.valid_order)
 
     def shift_down(self) -> "TruncatedSeries":
         """Divide by z; costs exactly one trustworthy order."""

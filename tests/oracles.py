@@ -7,6 +7,8 @@ exists to check a production route by a second, unrelated one:
   non-zero Verblunsky parameters, against ``ansatz.alpha``;
 * ``traditional_walk_test``: the paper's ``F(-z) F(z) = 1`` test for walks
   without self-transitions;
+* ``mul`` and ``reciprocal``: the term-by-term Fraction product and
+  reciprocal, against the quotient ``TruncatedSeries.__truediv__``;
 * ``add``, ``scale`` and ``substitute_quartic``: series operations the
   exact layer does not need, built through the ``TruncatedSeries``
   constructor so that the valid-order ledger still applies;
@@ -29,6 +31,37 @@ from rieszwalk.series import CoefficientLike, TruncatedSeries
 
 
 # -- exact series ---------------------------------------------------------------
+
+
+def mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
+    """Cauchy product through the common valid order, one Fraction op per term."""
+    order = min(x.valid_order, y.valid_order)
+    a, b = x.coefficients, y.coefficients
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(order + 1 - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return TruncatedSeries(out, order)
+
+
+def reciprocal(x: TruncatedSeries) -> TruncatedSeries:
+    """Reciprocal by the long-division recursion; the constant term is non-zero."""
+    a = x.coefficients
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for n in range(1, x.valid_order + 1):
+        acc = Fraction(0)
+        for i in range(1, n + 1):
+            ai = a[i]
+            if ai:
+                acc += ai * out[n - i]
+        out.append(-inv0 * acc)
+    return TruncatedSeries(out, x.valid_order)
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -108,7 +141,7 @@ def traditional_walk_test(F_coeffs: Sequence, tol: float = 1e-10) -> bool:
     if all(isinstance(c, (Fraction, int)) for c in coeffs):
         F = TruncatedSeries(coeffs, n - 1)
         F_minus = TruncatedSeries([(-1) ** i * c for i, c in enumerate(coeffs)], n - 1)
-        return F_minus * F == TruncatedSeries([1], n - 1)
+        return mul(F_minus, F) == TruncatedSeries([1], n - 1)
     c = np.asarray(coeffs, dtype=complex)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     prod = np.convolve(signs * c, c)[:n]

@@ -29,7 +29,7 @@ MU, NU = MeasureVariant.MU, MeasureVariant.NU
 
 # -- oracle: the Schur algorithm stepped on Fraction series -----------------------
 #
-# The textbook iteration, one series reciprocal per step.  It is the
+# The textbook iteration, one series division per step.  It is the
 # independent reference that extract_verblunsky's fraction-free loop must
 # reproduce bit for bit.
 
@@ -55,7 +55,7 @@ def schur_step(state: SchurState) -> SchurState:
         raise ParameterOutOfDisk(f"|alpha_{state.step}| = |{alpha}| >= 1")
     numerator = f.add_constant(-alpha)
     denominator = scale(f, -alpha).add_constant(1)
-    nxt = (numerator * denominator.reciprocal()).shift_down()
+    nxt = numerator.shift_down() / denominator
     return SchurState(nxt, state.step + 1, state.extracted + (alpha,))
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import add, substitute_quartic
+from oracles import add, mul, reciprocal, substitute_quartic
 from rieszwalk.riesz import MeasureVariant, caratheodory_series
 from rieszwalk.series import NonzeroConstantTerm, TruncatedSeries, ZeroConstantTerm
 
@@ -12,38 +12,7 @@ def S(coeffs, order):
     return TruncatedSeries(coeffs, order)
 
 
-# -- oracle: the term-by-term Fraction products ---------------------------------
-
-
-def oracle_mul(x, y):
-    """Cauchy product through the common valid order, one Fraction op per term."""
-    order = min(x.valid_order, y.valid_order)
-    a, b = x.coefficients, y.coefficients
-    out = [F(0)] * (order + 1)
-    for i in range(order + 1):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(order + 1 - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return TruncatedSeries(out, order)
-
-
-def oracle_reciprocal(x):
-    """Reciprocal by the long-division recursion; the constant term is non-zero."""
-    a = x.coefficients
-    inv0 = 1 / a[0]
-    out = [inv0]
-    for n in range(1, x.valid_order + 1):
-        acc = F(0)
-        for i in range(1, n + 1):
-            ai = a[i]
-            if ai:
-                acc += ai * out[n - i]
-        out.append(-inv0 * acc)
-    return TruncatedSeries(out, x.valid_order)
+# ``mul`` and ``reciprocal`` are the term-by-term oracles for the quotient.
 
 
 @pytest.mark.parametrize("variant", list(MeasureVariant))
@@ -51,10 +20,10 @@ def test_kernel_matches_oracle_on_riesz_series(variant):
     F_series = caratheodory_series(300, variant)
     denominator = F_series.add_constant(1)
     numerator = F_series.add_constant(-1)
-    inverse = denominator.reciprocal()
-    assert inverse == oracle_reciprocal(denominator)
-    assert numerator * inverse == oracle_mul(numerator, inverse)
-    assert inverse * numerator == oracle_mul(numerator, inverse)
+    inverse = reciprocal(denominator)
+    assert S([1], 300) / denominator == inverse
+    assert numerator / denominator == mul(numerator, inverse)
+    assert numerator.shift_down() / denominator == mul(numerator.shift_down(), inverse)
 
 
 def test_kernel_matches_oracle_on_generated_series():
@@ -81,19 +50,21 @@ def test_kernel_matches_oracle_on_generated_series():
     @settings(deadline=None, max_examples=150)
     @given(series(), series())
     def check(a, b):
-        product = a * b
-        assert product == oracle_mul(a, b)
-        assert product.valid_order == min(a.valid_order, b.valid_order)
-        if a.valid_order < 0 or not a.coefficients[0]:
+        if b.valid_order < 0 or not b.coefficients[0]:
             with pytest.raises(ZeroConstantTerm):
-                a.reciprocal()
-        else:
-            assert a.reciprocal() == oracle_reciprocal(a)
+                a / b
+            return
+        quotient = a / b
+        order = min(a.valid_order, b.valid_order)
+        assert quotient.valid_order == order
+        assert quotient == mul(a, reciprocal(b))
+        assert mul(quotient, b) == S(a.coefficients, order)
 
     check()
 
 
-# ``add`` is the test-side sum; these pin it before the ring checks rely on it.
+# ``add`` and ``mul`` are the test-side sum and product; these pin them before
+# the division checks rely on them.
 
 
 def test_add_basic():
@@ -116,42 +87,48 @@ def test_add_like_terms():
 
 
 def test_mul_difference_of_squares():
-    out = S([1, 1], 8) * S([1, -1], 8)
+    out = mul(S([1, 1], 8), S([1, -1], 8))
     assert list(out.coefficients) == [F(1), 0, F(-1)] + [F(0)] * 6
+    assert S([1, 0, -1], 8) / S([1, -1], 8) == S([1, 1], 8)
 
 
 def test_mul_identity():
     a = S([F(3, 5), 0, F(-2, 9), 1], 7)
-    assert a * S([1], 7) == a
+    assert mul(a, S([1], 7)) == a
+    assert a / S([1], 7) == a
+    assert a / a == S([1], 7)
 
 
 def test_mul_telescopes_geometric():
     geometric = S([1] * 11, 10)
-    out = geometric * S([1, -1], 10)
+    out = mul(geometric, S([1, -1], 10))
     assert out.coefficient(0) == 1
     assert all(out.coefficient(k) == 0 for k in range(1, 11))
+    assert S([1], 10) / geometric == S([1, -1], 10)
 
 
 def test_valid_order_min_rule():
     a = S([1, 2, 3], 2)
     b = S([1], 12)
     assert add(a, b).valid_order == 2
-    assert (a * b).valid_order == 2
+    assert (a / b).valid_order == 2
+    assert (b / a).valid_order == 2
 
 
 def test_reciprocal_geometric():
-    out = S([1, -1], 9).reciprocal()
+    out = S([1], 9) / S([1, -1], 9)
     assert out.valid_order == 9
     assert all(out.coefficient(k) == 1 for k in range(10))
 
 
 def test_reciprocal_constant():
-    assert S([F(1, 2)], 3).reciprocal() == S([2], 3)
+    assert S([1], 3) / S([F(1, 2)], 3) == S([2], 3)
+    assert S([3, F(-1, 5)], 3) / S([F(1, 2)], 3) == S([6, F(-2, 5)], 3)
 
 
 def test_reciprocal_long_division():
     # 1/(1 - z^3/2) = sum (z^3/2)^k, so the z^6 coefficient is 1/4
-    out = S([1, 0, 0, F(-1, 2)], 8).reciprocal()
+    out = S([1], 8) / S([1, 0, 0, F(-1, 2)], 8)
     assert out.coefficient(6) == F(1, 4)
     assert out.coefficient(3) == F(1, 2)
     assert out.coefficient(4) == 0
@@ -159,9 +136,11 @@ def test_reciprocal_long_division():
 
 def test_reciprocal_zero_constant_raises():
     with pytest.raises(ZeroConstantTerm):
-        S([0, 1], 4).reciprocal()
+        S([1], 4) / S([0, 1], 4)
     with pytest.raises(ZeroConstantTerm):
-        S([], -1).reciprocal()
+        S([1], 4) / S([], -1)
+    with pytest.raises(ZeroConstantTerm):
+        S([], -1) / S([0, 1], 4)
 
 
 def test_shift_down():
@@ -224,8 +203,11 @@ def test_ring_axioms_random():
         order = rng.randint(0, 7)
         a, b, c = (_random_series(rng, order) for _ in range(3))
         assert add(add(a, b), c) == add(a, add(b, c))
-        assert a * add(b, c) == add(a * b, a * c)
-        assert a * b == b * a
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(a, b) == mul(b, a)
+        if c.coefficient(0):
+            assert add(a, b) / c == add(a / c, b / c)
+            assert mul(a, b) / c == mul(a / c, b)
 
 
 def test_reciprocal_roundtrip_random():
@@ -235,8 +217,10 @@ def test_reciprocal_roundtrip_random():
         a = _random_series(rng, order)
         if a.coefficient(0) == 0:
             a = a.add_constant(1)
-        prod = a * a.reciprocal()
-        assert prod == S([1], order)
+        assert mul(a, S([1], order) / a) == S([1], order)
+        b = _random_series(rng, order)
+        assert mul(b / a, a) == b
+        assert (b / a) / (S([1], order) / a) == b
 
 
 def test_coefficients_stay_canonical():
@@ -245,6 +229,8 @@ def test_coefficients_stay_canonical():
     for _ in range(30):
         a = _random_series(rng, 5)
         b = _random_series(rng, 5)
-        for c in add(a * b, a).coefficients:
+        if b.coefficient(0) == 0:
+            b = b.add_constant(1)
+        for c in add(a / b, a).coefficients:
             assert c.denominator >= 1
             assert F(c.numerator, c.denominator) == c
