@@ -77,21 +77,27 @@ def write_table(columns: list[str], rows: list[list], args) -> None:
     if args.output == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(args.output))
+    # Replace what a link points at, so that the link survives.
+    target = os.path.realpath(args.output)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rieszwalk-")
+        # As open(path, "w"): keep an existing target's mode, else the umask's.
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            # A rename would put a file where a FIFO, device or directory was.
+            if not stat.S_ISREG(mode):
+                raise OSError("not a regular file")
+            mode = stat.S_IMODE(mode)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".rieszwalk-")
         try:
             with os.fdopen(fd, "w", newline="") as handle:
                 handle.write(text)
-            # As open(path, "w"): keep an existing target's mode, else the umask's.
-            try:
-                mode = stat.S_IMODE(os.stat(args.output).st_mode)
-            except OSError:
-                umask = os.umask(0)
-                os.umask(umask)
-                mode = 0o666 & ~umask
             os.chmod(tmp, mode)
-            os.replace(tmp, args.output)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

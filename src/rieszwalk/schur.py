@@ -3,8 +3,9 @@
 Converts a Caratheodory series F into its Schur function f, extracts
 Verblunsky parameters one per step, and exposes the first-return amplitude
 series.  ``renewal_first_return`` computes the same amplitudes from the
-moments alone; the CLI never calls it, but the tests, those of the
-benchmark's output checks included, use it as the independent oracle.
+moments alone, without the Schur formula or the n-1 offset but with the
+same series division; the CLI never calls it, and the tests, those of the
+benchmark's output checks included, use it as an oracle.
 
 The engine works over real rational data (conjugation is the identity);
 complex coins are handled numerically elsewhere.  Each Schur step consumes
@@ -140,8 +141,10 @@ def renewal_first_return(
     """First-return amplitudes from the moment sequence alone.
 
     With r(z) = sum_n moments[n] z^n the first-return generating series is
-    1 - 1/r(z); this uses nothing but the moments, making it an independent
-    check on the Schur-function route.
+    1 - 1/r(z).  Its input is the moments alone, so it checks the Schur
+    formula and the n-1 offset; it shares the series division, which the
+    ``mul``/``reciprocal`` of ``tests/oracles.py`` and the F_p recursion of
+    ``bench/checks.py`` check independently.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")

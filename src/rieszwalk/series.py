@@ -99,9 +99,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.valid_order == other.valid_order and self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash((self._coeffs, self.valid_order))
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self._coeffs[:6])
         tail = ", ..." if len(self._coeffs) > 6 else ""

@@ -4,7 +4,6 @@ import re
 import stat
 import subprocess
 import sys
-import types
 from fractions import Fraction as F
 
 import pytest
@@ -302,6 +301,7 @@ def test_exact_commands_skip_numpy():
     script = """
 import sys
 import rieszwalk
+assert not [m for m in sys.modules if m.startswith("rieszwalk.")], "submodule imported"
 import rieszwalk.cli
 for argv in (
     ["moments", "--max", "8"],
@@ -316,15 +316,6 @@ assert "numpy" not in sys.modules, "numpy was imported"
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
-
-
-def test_package_all_names_every_public_binding():
-    bound = {
-        name
-        for name, value in vars(rieszwalk).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert sorted(rieszwalk.__all__) == sorted(bound)
 
 
 def test_coin_file_too_short(capsys, tmp_path):
@@ -440,14 +431,38 @@ def test_output_file_mode_matches_plain_write(tmp_path):
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
     # A missing parent directory fails to create the temporary file; an
-    # existing directory as the target fails at the final rename.
+    # existing directory or a link loop as the target is refused before one
+    # is made.
     (tmp_path / "d").mkdir()
-    for target in (tmp_path / "missing" / "x.csv", tmp_path / "d"):
+    os.symlink("loop", tmp_path / "loop")
+    for target in (tmp_path / "missing" / "x.csv", tmp_path / "d", tmp_path / "loop"):
         code, out, err = run(capsys, "moments", "--max", "3", "--output", str(target))
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot write output: {target}: ")
         assert not list(tmp_path.rglob(".rieszwalk-*"))
+
+
+def test_output_replaces_only_regular_files(capsys, tmp_path):
+    # A FIFO is refused, as a directory is; a link keeps pointing at its
+    # target, which gets the new table.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    code, out, err = run(capsys, "moments", "--max", "2", "--output", str(fifo))
+    assert code == 2
+    assert err.startswith(f"error: cannot write output: {fifo}: ")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    real = tmp_path / "real.csv"
+    link = tmp_path / "link.csv"
+    os.symlink(real, link)
+    for stale in (False, True):  # a dangling link, then a link to an old file
+        if stale:
+            real.write_text("stale\n")
+        assert main(["moments", "--max", "2", "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(real)
+        assert real.read_text() == "j,moment\n0,1\n1,0\n2,0\n"
+    assert not list(tmp_path.glob(".rieszwalk-*"))
 
 
 def test_console_invocations_byte_identical():

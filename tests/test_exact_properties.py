@@ -4,14 +4,11 @@ import contextlib
 import io
 import json
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from rieszwalk.ansatz import decompose_index  # noqa: E402
-from rieszwalk.cli import main  # noqa: E402
-from rieszwalk.riesz import MeasureVariant, signed_quartic_digits  # noqa: E402
+from rieszwalk.ansatz import decompose_index
+from rieszwalk.cli import main
+from rieszwalk.riesz import MeasureVariant, signed_quartic_digits
 
 property_settings = settings(deadline=None, max_examples=100)
 

@@ -1,19 +1,16 @@
 """Invariants of the numeric layer, checked over generated inputs."""
 
 import numpy as np
-import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
-
-from rieszwalk.cmv import (  # noqa: E402
+from rieszwalk.cmv import (
     BandedUnitary,
     DimensionTooSmall,
     build_cmv,
     spectral_moments,
     unitarity_defect,
 )
-from rieszwalk.walk import WalkState, evolve  # noqa: E402
+from rieszwalk.walk import WalkState, evolve
 
 # Real and imaginary parts below 0.7 keep every coefficient inside the disk.
 in_disk = st.builds(

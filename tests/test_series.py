@@ -27,7 +27,6 @@ def test_kernel_matches_oracle_on_riesz_series(variant):
 
 
 def test_kernel_matches_oracle_on_generated_series():
-    pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
     # Zeros, integers and non-dyadic fractions of either sign.
