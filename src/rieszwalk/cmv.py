@@ -4,8 +4,10 @@ A CMV operator is pentadiagonal: rows 0 and 1 are special, then the sparsity
 pattern repeats in 2x4 blocks shifted right by two columns per block row.
 The finite matrix here is the plain truncation of the infinite one, which
 leaves every interior column orthonormal; only the last two columns feel the
-cut.  Storage is by diagonals (offsets -2..+2), so one application costs
-O(dimension).
+cut.  Storage is by diagonals (offsets -2..+2), each with the span of rows
+that holds its non-zero entries.  A step that is told how far the state
+reaches (its support) touches only those rows, so one application costs
+O(support), plus the O(dimension) zero-filled output.
 
 Transitions are read along rows: row r lists the amplitudes for one step out
 of basis state r.  Applying the operator to a state vector therefore
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,9 +45,11 @@ def disk_point(value: AlphaLike) -> tuple[complex, float]:
     rounded to float once, so rho carries no avoidable rounding error.
     """
     if isinstance(value, (Fraction, int)):
-        if abs(value) >= 1:
+        n, d = value.numerator, value.denominator
+        if abs(n) >= d:
             raise CoefficientOutOfDisk(f"|{value}| >= 1")
-        return complex(value), math.sqrt(1 - value * value)
+        # Integer true division is correctly rounded, as Fraction -> float is.
+        return complex(n / d), math.sqrt((d * d - n * n) / (d * d))
     z = complex(value)
     mag2 = z.real * z.real + z.imag * z.imag
     # Written so that NaN, which compares False, is rejected too.
@@ -58,17 +62,27 @@ class BandedUnitary:
     """Unitary with bandwidth 2, stored as five diagonals.
 
     ``bands[o + 2, r]`` holds the entry at (row r, column r + o).  Instances
-    are immutable after construction.
+    are immutable after construction.  ``spans`` lists ``(o, lo, hi)`` for
+    each band with a non-zero entry, offsets ascending: rows lo..hi - 1 run
+    from its first to its last non-zero entry inside the matrix.  Slots
+    whose column falls outside the matrix are never read.
     """
 
-    __slots__ = ("bands", "dimension")
+    __slots__ = ("bands", "dimension", "spans")
 
     def __init__(self, bands: np.ndarray):
         if bands.ndim != 2 or bands.shape[0] != 5:
             raise ValueError("bands must have shape (5, dimension)")
         self.bands = bands
-        self.dimension = bands.shape[1]
+        self.dimension = n = bands.shape[1]
         self.bands.flags.writeable = False
+        spans = []
+        for o in range(-2, 3):
+            first = max(0, -o)
+            rows = np.flatnonzero(bands[o + 2, first : n - o])
+            if rows.size:
+                spans.append((o, first + int(rows[0]), first + int(rows[-1]) + 1))
+        self.spans = tuple(spans)
 
     @classmethod
     def from_entries(cls, dim: int, entries: Iterable[Entry]) -> "BandedUnitary":
@@ -102,37 +116,44 @@ def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
     # come out of the same block formula as the rest.  Past the cut alpha = 0,
     # rho = 1; every entry built from it is dropped.
     a, r = zip((-1.0 + 0j, 0.0), *map(disk_point, alphas[:dim]), (0j, 1.0))
+    # Python complex products round as numpy's complex128 scalar ones do;
+    # numpy's array loops need not, so each band row is built as a list.
+    bands = np.zeros((5, dim), dtype=complex)
+    even = range(0, dim, 2)  # row k
+    bands[1, 0::2] = [r[k] * a[k + 1].conjugate() for k in even]
+    bands[2, 0::2] = [-a[k] * a[k + 1].conjugate() for k in even]
+    bands[3, 0::2] = [r[k + 1] * a[k + 2].conjugate() for k in even]
+    bands[4, 0::2] = [r[k + 1] * r[k + 2] for k in even]
+    odd = range(0, dim - 1, 2)  # row k + 1
+    bands[0, 1::2] = [r[k] * r[k + 1] for k in odd]
+    bands[1, 1::2] = [-a[k] * r[k + 1] for k in odd]
+    bands[2, 1::2] = [-a[k + 1] * a[k + 2].conjugate() for k in odd]
+    bands[3, 1::2] = [-a[k + 1] * r[k + 2] for k in odd]
+    # Entries whose column falls outside the matrix are dropped.
+    bands[0, 1] = bands[1, 0] = bands[3, -1] = bands[4, -2] = bands[4, -1] = 0
+    return BandedUnitary(bands)
 
-    def entries() -> Iterator[Entry]:
-        for row in range(dim):
-            k = 2 * (row // 2)
-            if row % 2 == 0:
-                yield row, k - 1, r[k] * np.conj(a[k + 1])
-                yield row, k, -a[k] * np.conj(a[k + 1])
-                yield row, k + 1, r[k + 1] * np.conj(a[k + 2])
-                yield row, k + 2, r[k + 1] * r[k + 2]
-            else:
-                yield row, k - 1, r[k] * r[k + 1]
-                yield row, k, -a[k] * r[k + 1]
-                yield row, k + 1, -a[k + 1] * np.conj(a[k + 2])
-                yield row, k + 2, -a[k + 1] * r[k + 2]
 
-    return BandedUnitary.from_entries(dim, entries())
+def apply_from_source(
+    state: Sequence[complex], M: BandedUnitary, support: Optional[int] = None
+) -> np.ndarray:
+    """One step of the dynamics: out[c] = sum_r state[r] * M[r, c].
 
-
-def apply_from_source(state: Sequence[complex], M: BandedUnitary) -> np.ndarray:
-    """One step of the dynamics: out[c] = sum_r state[r] * M[r, c]."""
+    ``support`` promises that ``state[support:]`` is zero; only rows below it
+    are read.  With finite entries the result is bit for bit the full sum:
+    each skipped term is a zero product, and adding a zero to an accumulator
+    that starts at +0.0 changes nothing.  The output has full length.
+    """
     v = np.asarray(state, dtype=complex)
     n = M.dimension
     if v.shape != (n,):
         raise DimensionMismatch(f"state has shape {v.shape}, operator dimension {n}")
+    top = n if support is None else support
     out = np.zeros(n, dtype=complex)
-    for o in range(-2, 3):
-        band = M.bands[o + 2]
-        if o >= 0:
-            out[o:] += v[: n - o] * band[: n - o]
-        else:
-            out[: n + o] += v[-o:] * band[-o:]
+    for o, lo, hi in M.spans:
+        hi = min(hi, top)
+        if lo < hi:
+            out[lo + o : hi + o] += v[lo:hi] * M.bands[o + 2, lo:hi]
     return out
 
 
@@ -178,7 +199,8 @@ def spectral_moments(M: BandedUnitary, n: int) -> np.ndarray:
     v = np.zeros(M.dimension, dtype=complex)
     v[0] = 1.0
     moments = [v[0]]
-    for _ in range(n):
-        v = apply_from_source(v, M)
+    for step in range(1, n + 1):
+        # The support grows by at most two indices per step.
+        v = apply_from_source(v, M, support=2 * step - 1)
         moments.append(v[0])
     return np.array(moments)

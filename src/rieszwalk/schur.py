@@ -107,16 +107,11 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
         if abs(p0) >= q0:
             raise ParameterOutOfDisk(f"|alpha_{step}| >= 1")
         out.append(Fraction(p0, q0))
-        m = len(p)
         # f' = (1/z) (q0 p - p0 q) / (q0 q - p0 p); the numerator's constant
         # term cancels exactly, so the shift is an index drop.
-        new_p = [q0 * p[i] - p0 * q[i] for i in range(1, m)]
-        new_q = [q0 * q[i] - p0 * p[i] for i in range(m - 1)]
-        g = 0
-        for v in new_p:
-            g = math.gcd(g, v)
-        for v in new_q:
-            g = math.gcd(g, v)
+        new_p = [q0 * x - p0 * y for x, y in zip(p[1:], q[1:])]
+        new_q = [q0 * y - p0 * x for x, y in zip(p[:-1], q[:-1])]
+        g = math.gcd(*new_p, *new_q)
         if g > 1:
             new_p = [v // g for v in new_p]
             new_q = [v // g for v in new_q]

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul, sub
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -136,7 +138,9 @@ def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[Wal
 
     Every check runs before the first state is yielded.  The support spreads
     by at most two indices per step; the required dimension keeps it away
-    from the deficient last columns for every step.
+    from the deficient last columns for every step.  Each step passes that
+    bound to ``apply_from_source`` as its ``support`` promise, so it reads
+    only the rows the walk can have reached, with bit-identical results.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -146,16 +150,17 @@ def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[Wal
             f"state length {v.shape[0] if v.ndim == 1 else v.shape} "
             f"!= dimension {M.dimension}"
         )
+    nonzero = np.nonzero(v)[0]
+    high = int(nonzero[-1]) if nonzero.size else 0
     if steps:
-        support = np.nonzero(v)[0]
-        high = int(support[-1]) if support.size else 0
         needed = 2 * steps + 8 if high <= 1 else high + 2 * steps + 3
         if M.dimension < needed:
             raise DimensionTooSmall(
                 f"{steps} steps from support <= {high} need dimension >= {needed}"
             )
-    for _ in range(steps):
-        v = apply_from_source(v, M)
+    for step in range(1, steps + 1):
+        # Before this step the state is zero from index high + 2 * step - 1 on.
+        v = apply_from_source(v, M, support=high + 2 * step - 1)
         yield WalkState(v)
 
 
@@ -189,8 +194,6 @@ def first_return_numeric(M: BandedUnitary, max_n: int) -> np.ndarray:
     r = spectral_moments(M, max_n).tolist()
     a = [0j] * (max_n + 1)
     for n in range(1, max_n + 1):
-        acc = r[n]
-        for k in range(1, n):
-            acc -= a[k] * r[n - k]
-        a[n] = acc
+        # r[n] - a[1] r[n-1] - a[2] r[n-2] - ... - a[n-1] r[1], left to right.
+        a[n] = reduce(sub, map(mul, a[1:n], r[n - 1 : 0 : -1]), r[n])
     return np.array(a[1:], dtype=complex)

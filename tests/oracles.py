@@ -14,19 +14,30 @@ exists to check a production route by a second, unrelated one:
   constructor so that the valid-order ledger still applies;
 * ``dense``: the full matrix of a ``BandedUnitary``, from its non-zero
   entries;
+* ``disk_point_by_fraction``, ``build_cmv_by_entry`` and
+  ``apply_full_length``: the earlier ``cmv`` routines (Fraction complement,
+  one numpy-scalar entry at a time, every band over the full dimension),
+  against which the production ones are held bit for bit;
 * ``cmv_from_theta``: the CMV matrix as the product L M of 2x2 blocks,
   against ``cmv.build_cmv``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from rieszwalk.ansatz import backbone
-from rieszwalk.cmv import BandedUnitary
+from rieszwalk.cmv import (
+    AlphaLike,
+    BandedUnitary,
+    CoefficientOutOfDisk,
+    DimensionMismatch,
+    Entry,
+)
 from rieszwalk.series import CoefficientLike, TruncatedSeries
 
 
@@ -154,6 +165,61 @@ def dense(M: BandedUnitary) -> np.ndarray:
     out = np.zeros((M.dimension, M.dimension), dtype=complex)
     for r, c, v in M.nonzero_entries():
         out[r, c] = v
+    return out
+
+
+def disk_point_by_fraction(value: AlphaLike) -> tuple[complex, float]:
+    """``cmv.disk_point`` with the complement 1 - value^2 formed as a Fraction."""
+    if isinstance(value, (Fraction, int)):
+        if abs(value) >= 1:
+            raise CoefficientOutOfDisk(f"|{value}| >= 1")
+        return complex(value), math.sqrt(1 - value * value)
+    z = complex(value)
+    mag2 = z.real * z.real + z.imag * z.imag
+    # Written so that NaN, which compares False, is rejected too.
+    if not (mag2 < 1.0):
+        raise CoefficientOutOfDisk(f"{z} is not inside the unit disk")
+    return z, math.sqrt(1.0 - mag2)
+
+
+def build_cmv_by_entry(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
+    """``cmv.build_cmv`` one entry at a time, conjugating with numpy scalars."""
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    if len(alphas) < dim:
+        raise ValueError(f"need at least {dim} coefficients, got {len(alphas)}")
+    a, r = zip((-1.0 + 0j, 0.0), *map(disk_point_by_fraction, alphas[:dim]), (0j, 1.0))
+
+    def entries() -> Iterator[Entry]:
+        for row in range(dim):
+            k = 2 * (row // 2)
+            if row % 2 == 0:
+                yield row, k - 1, r[k] * np.conj(a[k + 1])
+                yield row, k, -a[k] * np.conj(a[k + 1])
+                yield row, k + 1, r[k + 1] * np.conj(a[k + 2])
+                yield row, k + 2, r[k + 1] * r[k + 2]
+            else:
+                yield row, k - 1, r[k] * r[k + 1]
+                yield row, k, -a[k] * r[k + 1]
+                yield row, k + 1, -a[k + 1] * np.conj(a[k + 2])
+                yield row, k + 2, -a[k + 1] * r[k + 2]
+
+    return BandedUnitary.from_entries(dim, entries())
+
+
+def apply_full_length(state: Sequence[complex], M: BandedUnitary) -> np.ndarray:
+    """``cmv.apply_from_source`` with every band applied over the full dimension."""
+    v = np.asarray(state, dtype=complex)
+    n = M.dimension
+    if v.shape != (n,):
+        raise DimensionMismatch(f"state has shape {v.shape}, operator dimension {n}")
+    out = np.zeros(n, dtype=complex)
+    for o in range(-2, 3):
+        band = M.bands[o + 2]
+        if o >= 0:
+            out[o:] += v[: n - o] * band[: n - o]
+        else:
+            out[: n + o] += v[-o:] * band[-o:]
     return out
 
 

@@ -5,7 +5,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import cmv_from_theta, dense
+from oracles import (
+    apply_full_length,
+    build_cmv_by_entry,
+    cmv_from_theta,
+    dense,
+    disk_point_by_fraction,
+)
 from rieszwalk.ansatz import alpha
 from rieszwalk.cmv import (
     BandedUnitary,
@@ -67,6 +73,27 @@ def test_coefficient_rejects_boundary(bad):
         disk_point(bad)
 
 
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+def test_disk_point_matches_fraction_oracle_bitwise():
+    rng = random.Random(17)
+    values = [0, F(0), F(1, 2), F(-1, 3), F(10**40 + 1, 10**41), F(-(10**40 + 1), 10**41)]
+    for e in (10, 30, 60, 300):
+        # Within 10**-e of +-1 the complement is tiny and the rounding tight.
+        values += [F(10**e - 1, 10**e), F(1 - 10**e, 10**e), F(10**e, 10**e + 1)]
+    for _ in range(200):
+        d = rng.randrange(1, 10**rng.randrange(1, 80))
+        values.append(F(rng.randrange(1 - d, d), d))
+    for value in values:
+        assert bits(disk_point(value)) == bits(disk_point_by_fraction(value)), value
+    for bad in (F(10**40, 10**40 - 1), F(-(10**40 + 1), 10**40), 2, -3):
+        for fn in (disk_point, disk_point_by_fraction):
+            with pytest.raises(CoefficientOutOfDisk):
+                fn(bad)
+
+
 # -- construction -------------------------------------------------------------
 
 
@@ -99,6 +126,25 @@ def test_complex_entries_match_theta_factorization(dim):
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
+def alphas_of_kind(kind: str, count: int) -> list:
+    rng = random.Random(count)
+    if kind == "riesz":
+        return [alpha(j) for j in range(count)]
+    if kind == "fraction":
+        return [F(rng.randrange(-(10**40), 10**40), 10**40 + 7) for _ in range(count)]
+    if kind == "float":
+        # Signed zeros among the values exercise the sign of every zero product.
+        return [rng.choice([0.0, -0.0, rng.uniform(-0.9, 0.9)]) for _ in range(count)]
+    return random_alphas(count, seed=count)
+
+
+@pytest.mark.parametrize("kind", ["riesz", "fraction", "float", "complex"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 17, 201])
+def test_build_cmv_matches_entry_oracle_bitwise(kind, dim):
+    alphas = alphas_of_kind(kind, dim + 1)
+    assert build_cmv(alphas, dim).bands.tobytes() == build_cmv_by_entry(alphas, dim).bands.tobytes()
+
+
 def test_build_validations():
     with pytest.raises(ValueError):
         build_cmv([0.0] * 8, 1)
@@ -108,6 +154,8 @@ def test_build_validations():
         build_cmv([0.0, 1.5, 0.0, 0.0], 4)
     with pytest.raises(CoefficientOutOfDisk):
         build_cmv([0.0, math.nan, 0.0, 0.0], 4)
+    with pytest.raises(CoefficientOutOfDisk):
+        build_cmv([F(0), F(-5, 4), F(0), F(0)], 4)
 
 
 def test_entries_iterator_row_major_and_banded():
@@ -169,6 +217,58 @@ def test_apply_preserves_interior_norm():
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         apply_from_source(np.zeros(7), free_matrix(8))
+    with pytest.raises(DimensionMismatch):
+        apply_from_source(np.zeros(7), free_matrix(8), support=3)
+
+
+def random_state(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("kind", ["riesz", "float", "complex"])
+def test_apply_matches_full_length_oracle_bitwise(kind):
+    n = 40
+    m = build_cmv(alphas_of_kind(kind, n), n)
+    full = random_state(n, seed=n)
+    assert bits(apply_from_source(full, m)) == bits(apply_full_length(full, m))
+    assert bits(apply_from_source(full, m, support=n)) == bits(apply_full_length(full, m))
+    for support in range(n + 3):
+        state = full.copy()
+        state[support:] = 0
+        got = apply_from_source(state, m, support=support)
+        assert bits(got) == bits(apply_full_length(state, m)), support
+
+
+def test_spans_cover_the_non_zero_rows_of_each_band():
+    # The Riesz operator's main diagonal is zero.  The free operator is a
+    # shift: its rows 0, 2, 4 move right by two, row 1 left by one and rows
+    # 3, 5, 7 left by two; its offsets 0 and +1 get no span.
+    assert [o for o, _, _ in riesz_matrix(40).spans] == [-2, -1, 1, 2]
+    assert free_matrix(8).spans == ((-2, 3, 8), (-1, 1, 2), (2, 0, 5))
+
+
+def test_junk_outside_the_matrix_is_never_read():
+    n = 12
+    bands = np.zeros((5, n), dtype=complex)
+    bands[:, 4:8] = random_state(20, seed=3).reshape(5, 4)
+    bands[4, 5:] = 0  # offset +2 is empty inside the matrix
+    # Slots whose column falls outside the matrix hold junk; the first two
+    # would wrap around as negative indices if a span started there.
+    bands[0, :2] = bands[1, 0] = bands[3, -1] = math.nan
+    bands[4, -2:] = 1e300 + 1e300j
+    m = BandedUnitary(bands)
+    assert m.spans == ((-2, 4, 8), (-1, 4, 8), (0, 4, 8), (1, 4, 8), (2, 4, 5))
+    full = random_state(n, seed=4)
+    for support in (None, *range(n + 1)):
+        state = full.copy()
+        if support is not None:
+            state[support:] = 0
+        got = apply_from_source(state, m, support=support)
+        assert bits(got) == bits(apply_full_length(state, m)), support
+    m = BandedUnitary(np.where(np.arange(n) < 2, bands, 0))
+    assert m.spans == ()
+    assert bits(apply_from_source(full, m)) == bits(np.zeros(n))
 
 
 def test_finite_propagation_speed():
@@ -220,6 +320,18 @@ def test_spectral_moments_match_exact_through_100():
     moments = spectral_moments(riesz_matrix(208), 100)
     for n in range(101):
         assert abs(moments[n] - float(moment(n))) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["riesz", "complex"])
+def test_spectral_moments_match_full_length_stepping_bitwise(kind):
+    m = build_cmv(alphas_of_kind(kind, 209), 208)
+    v = np.zeros(208, dtype=complex)
+    v[0] = 1.0
+    want = [v[0]]
+    for _ in range(100):
+        v = apply_full_length(v, m)
+        want.append(v[0])
+    assert spectral_moments(m, 100).tobytes() == np.array(want).tobytes()
 
 
 def test_moment_needs_dimension():

@@ -1,8 +1,12 @@
 """Invariants of the numeric layer, checked over generated inputs."""
 
+import cmath
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import apply_full_length
 from rieszwalk.cmv import (
     BandedUnitary,
     DimensionTooSmall,
@@ -10,7 +14,7 @@ from rieszwalk.cmv import (
     spectral_moments,
     unitarity_defect,
 )
-from rieszwalk.walk import WalkState, evolve
+from rieszwalk.walk import CoinMatrix, WalkState, coined_walk_matrix, evolve, trajectory
 
 # Real and imaginary parts below 0.7 keep every coefficient inside the disk.
 in_disk = st.builds(
@@ -54,6 +58,55 @@ def test_evolve_conserves_norm(data):
     v /= np.linalg.norm(v)
     out = evolve(build_cmv(alphas, dim), WalkState(v), steps)
     assert abs(out.norm() - 1) <= 1e-12
+
+
+angle = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def unitary_coin(draw) -> CoinMatrix:
+    """e^(i phi) [[cos t e^(i a), sin t e^(i b)], [-sin t e^(-i b), cos t e^(-i a)]]."""
+    t, a, b, phi = (draw(angle) for _ in range(4))
+    u = cmath.exp(1j * phi)
+    c, s = math.cos(t), math.sin(t)
+    return CoinMatrix(
+        u * c * cmath.exp(1j * a),
+        u * s * cmath.exp(1j * b),
+        -u * s * cmath.exp(-1j * b),
+        u * c * cmath.exp(-1j * a),
+    )
+
+
+def steps_bitwise_like_full_length(M: BandedUnitary, head: list, steps: int) -> bool:
+    v = np.zeros(M.dimension, dtype=complex)
+    v[: len(head)] = head
+    for state in trajectory(M, WalkState(v), steps):
+        v = apply_full_length(v, M)
+        if state.amplitudes.tobytes() != v.tobytes():
+            return False
+    return True
+
+
+@property_settings
+@given(st.data())
+def test_cmv_trajectory_matches_full_length_stepping_bitwise(data):
+    steps = data.draw(st.integers(0, 20))
+    head = data.draw(st.lists(amplitude, min_size=1, max_size=6))
+    dim = max(2 * steps + 8, len(head) + 2 * steps + 2)
+    alphas = data.draw(st.lists(in_disk, min_size=dim, max_size=dim))
+    assert steps_bitwise_like_full_length(build_cmv(alphas, dim), head, steps)
+
+
+@property_settings
+@given(st.data())
+def test_coined_trajectory_matches_full_length_stepping_bitwise(data):
+    steps = data.draw(st.integers(0, 20))
+    head = data.draw(st.lists(amplitude, min_size=1, max_size=6))
+    dim = max(2 * steps + 8, len(head) + 2 * steps + 2)
+    # A few generated coins, repeated along the sites.
+    coins = data.draw(st.lists(unitary_coin(), min_size=1, max_size=4))
+    coins = [coins[i % len(coins)] for i in range(dim)]
+    assert steps_bitwise_like_full_length(coined_walk_matrix(coins, dim), head, steps)
 
 
 @property_settings

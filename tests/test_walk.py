@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import dense, traditional_walk_test
+from oracles import apply_full_length, dense, traditional_walk_test
 from rieszwalk.cmv import DimensionMismatch, DimensionTooSmall, build_cmv, spectral_moments, unitarity_defect
 from rieszwalk.riesz import MeasureVariant, caratheodory_series
 from rieszwalk.walk import (
@@ -22,6 +22,13 @@ from rieszwalk.walk import (
 )
 
 R = 1 / math.sqrt(2)
+
+
+def random_coin(seed: int) -> CoinMatrix:
+    """A unitary coin with genuinely complex entries."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return CoinMatrix(*(complex(x) for x in q.ravel()))
 
 
 class ZeroCoin(ValueError):
@@ -247,6 +254,34 @@ def test_trajectory_states_are_evolve_states(matrix):
         assert state.amplitudes.tobytes() == evolve(matrix, start, k).amplitudes.tobytes()
 
 
+@pytest.mark.parametrize("walk", ["riesz", "hadamard", "complex"])
+def test_trajectory_matches_full_length_stepping_bitwise(walk):
+    dim = 808
+    if walk == "riesz":
+        matrix = riesz_walk_matrix(dim)
+    else:
+        coin = HADAMARD_COIN if walk == "hadamard" else random_coin(5)
+        matrix = coined_walk_matrix(coin, dim)
+    v = WalkState.origin_up(dim).amplitudes
+    for state in trajectory(matrix, WalkState.origin_up(dim), 400):
+        v = apply_full_length(v, matrix)
+        assert state.amplitudes.tobytes() == v.tobytes()
+
+
+def test_trajectory_from_a_spread_state_matches_full_length_stepping_bitwise():
+    matrix = coined_walk_matrix(random_coin(6), 120)
+    v = np.zeros(120, dtype=complex)
+    v[3:30] = np.random.default_rng(6).normal(size=27)
+    for state in trajectory(matrix, WalkState(v), 40):
+        v = apply_full_length(v, matrix)
+        assert state.amplitudes.tobytes() == v.tobytes()
+
+
+def test_hadamard_main_diagonal_span_is_the_origin():
+    spans = coined_walk_matrix(HADAMARD_COIN, 40).spans
+    assert [s for s in spans if s[0] == 0] == [(0, 0, 1)]
+
+
 def test_trajectory_checks_before_first_state():
     # The first next() raises: no state comes before the check.
     with pytest.raises(DimensionTooSmall):
@@ -312,12 +347,12 @@ def numpy_scalar_renewal(M, max_n: int) -> np.ndarray:
     return a[1:]
 
 
-@pytest.mark.parametrize("coin", ["riesz", "hadamard"])
+@pytest.mark.parametrize("coin", ["riesz", "hadamard", "complex"])
 def test_first_return_matches_numpy_scalar_renewal_bitwise(coin):
     if coin == "riesz":
         matrix = riesz_walk_matrix(608)
     else:
-        matrix = coined_walk_matrix(HADAMARD_COIN, 608)
+        matrix = coined_walk_matrix(HADAMARD_COIN if coin == "hadamard" else random_coin(3), 608)
     amps = first_return_numeric(matrix, 300)
     assert amps.tobytes() == numpy_scalar_renewal(matrix, 300).tobytes()
     for n in (0, 1):
