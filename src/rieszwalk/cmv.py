@@ -187,20 +187,3 @@ def unitarity_defect(M: BandedUnitary) -> float:
             worst = max(worst, float(np.max(np.abs(interior))))
     return worst
 
-
-def spectral_moments(M: BandedUnitary, n: int) -> np.ndarray:
-    """Entries (0, 0) of M^0 .. M^n, exact for the truncation by finite propagation."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if M.dimension < 2 * n + 3:
-        raise DimensionTooSmall(
-            f"moments through {n} need dimension >= {2 * n + 3}, have {M.dimension}"
-        )
-    v = np.zeros(M.dimension, dtype=complex)
-    v[0] = 1.0
-    moments = [v[0]]
-    for step in range(1, n + 1):
-        # The support grows by at most two indices per step.
-        v = apply_from_source(v, M, support=2 * step - 1)
-        moments.append(v[0])
-    return np.array(moments)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul, sub
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -28,7 +26,6 @@ from .cmv import (
     DimensionTooSmall,
     apply_from_source,
     build_cmv,
-    spectral_moments,
 )
 
 
@@ -185,15 +182,26 @@ def position_distribution(state: WalkState) -> PositionDistribution:
 def first_return_numeric(M: BandedUnitary, max_n: int) -> np.ndarray:
     """First-return amplitudes for steps 1..max_n from the matrix alone.
 
-    Powers of M supply the plain return amplitudes r_n = (M^n)[0, 0]; the
-    renewal recursion a_n = r_n - sum_k a_k r_(n-k) strips the non-first
-    returns.  Entry [n - 1] of the result is the step-n amplitude.
+    The walk is killed at the origin: step from e0, read the amplitude that
+    came back to index 0, then remove it.  So the step-n amplitude is
+    a_n = <e0, M (Q M)^(n-1) e0>, where Q removes the origin (Grunbaum,
+    Velazquez, Werner and Werner, Commun. Math. Phys. 320, 2013).  Each
+    step reads only the light cone, as ``trajectory`` does.  Entry [n - 1]
+    of the result is the step-n amplitude.
     """
-    # Python complex arithmetic rounds exactly as numpy's complex128 scalars
-    # do, at a fraction of the per-operation cost.
-    r = spectral_moments(M, max_n).tolist()
-    a = [0j] * (max_n + 1)
-    for n in range(1, max_n + 1):
-        # r[n] - a[1] r[n-1] - a[2] r[n-2] - ... - a[n-1] r[1], left to right.
-        a[n] = reduce(sub, map(mul, a[1:n], r[n - 1 : 0 : -1]), r[n])
-    return np.array(a[1:], dtype=complex)
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    if M.dimension < 2 * max_n + 3:
+        raise DimensionTooSmall(
+            f"first returns through {max_n} need dimension >= {2 * max_n + 3}, "
+            f"have {M.dimension}"
+        )
+    v = np.zeros(M.dimension, dtype=complex)
+    v[0] = 1.0
+    a = np.zeros(max_n, dtype=complex)
+    for n in range(max_n):
+        # Before this step the state is zero from index 2 * n + 1 on.
+        v = apply_from_source(v, M, support=2 * n + 1)
+        a[n] = v[0]
+        v[0] = 0
+    return a

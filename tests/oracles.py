@@ -19,7 +19,12 @@ exists to check a production route by a second, unrelated one:
   one numpy-scalar entry at a time, every band over the full dimension),
   against which the production ones are held bit for bit;
 * ``cmv_from_theta``: the CMV matrix as the product L M of 2x2 blocks,
-  against ``cmv.build_cmv``.
+  against ``cmv.build_cmv``;
+* ``spectral_moments``: the return amplitudes (M^n)[0, 0], stepped on the
+  light cone, against the exact moments;
+* ``first_return_full_length`` and ``first_return_by_renewal``: the walk
+  killed at the origin stepped over the full dimension, and the renewal
+  recursion over ``spectral_moments``, against ``walk.first_return_numeric``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ from rieszwalk.cmv import (
     BandedUnitary,
     CoefficientOutOfDisk,
     DimensionMismatch,
+    DimensionTooSmall,
     Entry,
+    apply_from_source,
 )
 from rieszwalk.series import CoefficientLike, TruncatedSeries
 
@@ -244,3 +251,49 @@ def cmv_from_theta(alphas: Sequence[complex], dim: int) -> np.ndarray:
         target = L if j % 2 == 0 else M
         target[j : j + size, j : j + size] = block[:size, :size]
     return (L @ M)[:dim, :dim]
+
+
+def spectral_moments(M: BandedUnitary, n: int) -> np.ndarray:
+    """Entries (0, 0) of M^0 .. M^n, exact for the truncation by finite propagation."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if M.dimension < 2 * n + 3:
+        raise DimensionTooSmall(
+            f"moments through {n} need dimension >= {2 * n + 3}, have {M.dimension}"
+        )
+    v = np.zeros(M.dimension, dtype=complex)
+    v[0] = 1.0
+    moments = [v[0]]
+    for step in range(1, n + 1):
+        # The support grows by at most two indices per step.
+        v = apply_from_source(v, M, support=2 * step - 1)
+        moments.append(v[0])
+    return np.array(moments)
+
+
+def first_return_full_length(M: BandedUnitary, max_n: int) -> np.ndarray:
+    """``walk.first_return_numeric`` with every step over the full dimension."""
+    v = np.zeros(M.dimension, dtype=complex)
+    v[0] = 1.0
+    a = np.zeros(max_n, dtype=complex)
+    for n in range(max_n):
+        v = apply_full_length(v, M)
+        a[n] = v[0]
+        v[0] = 0
+    return a
+
+
+def first_return_by_renewal(M: BandedUnitary, max_n: int) -> np.ndarray:
+    """First returns by the renewal recursion a_n = r_n - sum_k a_k r_(n-k).
+
+    The plain return amplitudes r_n come from ``spectral_moments``; the
+    recursion runs on numpy scalars.
+    """
+    r = spectral_moments(M, max_n)
+    a = np.zeros(max_n + 1, dtype=complex)
+    for n in range(1, max_n + 1):
+        acc = r[n]
+        for k in range(1, n):
+            acc -= a[k] * r[n - k]
+        a[n] = acc
+    return a[1:]

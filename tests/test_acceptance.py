@@ -19,9 +19,9 @@ from expected_values import (
     NONZERO_PARAMS_36,
     SCHUR_F,
 )
-from oracles import alpha_from_offsets, traditional_walk_test
+from oracles import alpha_from_offsets, spectral_moments, traditional_walk_test
 from rieszwalk import ansatz, walk
-from rieszwalk.cmv import build_cmv, spectral_moments, unitarity_defect
+from rieszwalk.cmv import build_cmv, unitarity_defect
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import (
     extract_verblunsky,

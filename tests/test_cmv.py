@@ -11,6 +11,7 @@ from oracles import (
     cmv_from_theta,
     dense,
     disk_point_by_fraction,
+    spectral_moments,
 )
 from rieszwalk.ansatz import alpha
 from rieszwalk.cmv import (
@@ -21,7 +22,6 @@ from rieszwalk.cmv import (
     apply_from_source,
     build_cmv,
     disk_point,
-    spectral_moments,
     unitarity_defect,
 )
 from rieszwalk.riesz import moment

@@ -6,15 +6,16 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import apply_full_length
-from rieszwalk.cmv import (
-    BandedUnitary,
-    DimensionTooSmall,
-    build_cmv,
-    spectral_moments,
-    unitarity_defect,
+from oracles import apply_full_length, first_return_full_length, spectral_moments
+from rieszwalk.cmv import BandedUnitary, DimensionTooSmall, build_cmv, unitarity_defect
+from rieszwalk.walk import (
+    CoinMatrix,
+    WalkState,
+    coined_walk_matrix,
+    evolve,
+    first_return_numeric,
+    trajectory,
 )
-from rieszwalk.walk import CoinMatrix, WalkState, coined_walk_matrix, evolve, trajectory
 
 # Real and imaginary parts below 0.7 keep every coefficient inside the disk.
 in_disk = st.builds(
@@ -116,6 +117,28 @@ def test_spectral_moments_prefix(alphas, data):
     n = data.draw(st.integers(0, (m.dimension - 3) // 2))
     k = data.draw(st.integers(0, n))
     assert np.array_equal(spectral_moments(m, n)[: k + 1], spectral_moments(m, k))
+
+
+def killed_walk_checks(M: BandedUnitary, max_n: int) -> None:
+    amps = first_return_numeric(M, max_n)
+    assert amps.tobytes() == first_return_full_length(M, max_n).tobytes()
+    # The mass the killed walk loses is the probability of ever returning.
+    assert float(np.sum(np.abs(amps) ** 2)) <= 1 + 1e-12
+
+
+@property_settings
+@given(st.lists(in_disk, min_size=3, max_size=60), st.data())
+def test_cmv_first_return_is_the_killed_walk(alphas, data):
+    m = build_cmv(alphas, len(alphas))
+    killed_walk_checks(m, data.draw(st.integers(0, (m.dimension - 3) // 2)))
+
+
+@property_settings
+@given(st.lists(unitary_coin(), min_size=1, max_size=4), st.integers(4, 60), st.data())
+def test_coined_first_return_is_the_killed_walk(coins, dim, data):
+    coins = [coins[i % len(coins)] for i in range(dim)]
+    m = coined_walk_matrix(coins, dim)
+    killed_walk_checks(m, data.draw(st.integers(0, (dim - 3) // 2)))
 
 
 def scanning_rule_raises(dim: int, v: np.ndarray, steps: int) -> bool:

@@ -4,8 +4,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import apply_full_length, dense, traditional_walk_test
-from rieszwalk.cmv import DimensionMismatch, DimensionTooSmall, build_cmv, spectral_moments, unitarity_defect
+from oracles import (
+    apply_full_length,
+    dense,
+    first_return_by_renewal,
+    first_return_full_length,
+    spectral_moments,
+    traditional_walk_test,
+)
+from rieszwalk.cmv import DimensionMismatch, DimensionTooSmall, build_cmv, unitarity_defect
 from rieszwalk.riesz import MeasureVariant, caratheodory_series
 from rieszwalk.walk import (
     HADAMARD_COIN,
@@ -335,36 +342,36 @@ def test_first_return_riesz_values():
     assert np.max(np.abs(amps[:3])) <= 1e-12
 
 
-def numpy_scalar_renewal(M, max_n: int) -> np.ndarray:
-    """The renewal recursion of first_return_numeric, run on numpy scalars."""
-    r = spectral_moments(M, max_n)
-    a = np.zeros(max_n + 1, dtype=complex)
-    for n in range(1, max_n + 1):
-        acc = r[n]
-        for k in range(1, n):
-            acc -= a[k] * r[n - k]
-        a[n] = acc
-    return a[1:]
-
-
 @pytest.mark.parametrize("coin", ["riesz", "hadamard", "complex"])
 def test_first_return_matches_numpy_scalar_renewal_bitwise(coin):
+    # Bit for bit the killed walk stepped over the full dimension; within
+    # 1e-14 the renewal recursion over the plain return amplitudes.
     if coin == "riesz":
         matrix = riesz_walk_matrix(608)
     else:
         matrix = coined_walk_matrix(HADAMARD_COIN if coin == "hadamard" else random_coin(3), 608)
     amps = first_return_numeric(matrix, 300)
-    assert amps.tobytes() == numpy_scalar_renewal(matrix, 300).tobytes()
+    assert amps.tobytes() == first_return_full_length(matrix, 300).tobytes()
+    assert np.max(np.abs(amps - first_return_by_renewal(matrix, 300))) <= 1e-14
     for n in (0, 1):
         small = first_return_numeric(matrix, n)
         assert small.dtype == np.complex128
         assert small.shape == (n,)
-        assert small.tobytes() == numpy_scalar_renewal(matrix, n).tobytes()
+        assert small.tobytes() == first_return_full_length(matrix, n).tobytes()
 
 
 def test_first_return_needs_dimension():
-    with pytest.raises(DimensionTooSmall):
-        first_return_numeric(riesz_walk_matrix(16), 10)
+    # Steps 1..max_n need exactly 2 * max_n + 3; one below raises.
+    for max_n in (0, 1, 10):
+        dim = 2 * max_n + 3
+        assert first_return_numeric(riesz_walk_matrix(dim), max_n).shape == (max_n,)
+        with pytest.raises(DimensionTooSmall):
+            first_return_numeric(riesz_walk_matrix(dim - 1), max_n)
+
+
+def test_first_return_rejects_negative_count():
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        first_return_numeric(riesz_walk_matrix(16), -1)
 
 
 def test_hadamard_first_returns_vanish_at_even_steps():
