@@ -72,14 +72,22 @@ def schur_from_caratheodory(F: TruncatedSeries) -> TruncatedSeries:
 
 
 def _fraction_free_start(F: TruncatedSeries, length: int) -> tuple[list[int], list[int]]:
-    """Integer numerator/denominator polynomials of f through ``length`` orders."""
-    p_frac = [F.coefficient(k) for k in range(1, length + 1)]
-    q_frac = [F.coefficient(k) for k in range(length)]
-    q_frac[0] += 1
-    scale = math.lcm(*(c.denominator for c in p_frac + q_frac))
-    p = [int(c * scale) for c in p_frac]
-    q = [int(c * scale) for c in q_frac]
-    return p, q
+    """Integer numerator/denominator polynomials of f through ``length`` orders.
+
+    f = (F - 1) / (z (F + 1)), so p holds F_1..F_length and q holds
+    F_0 + 1, F_1..F_(length-1), both scaled by one common denominator.
+    """
+    coefficients = [F.coefficient(k) for k in range(length + 1)]
+    coefficients[0] += 1
+    scale = math.lcm(*(c.denominator for c in coefficients))
+    scaled = [c.numerator * (scale // c.denominator) for c in coefficients]
+    return scaled[1:], scaled[:-1]
+
+
+# extract_verblunsky divides the integer content out of its polynomials once
+# per this many steps; between strips the entries grow by about the bit
+# length of one alpha denominator per step.
+_CONTENT_PERIOD = 16
 
 
 def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
@@ -87,9 +95,15 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
 
     Equivalent to iterating the Schur step (strip the constant term,
     Moebius-shift, divide by z) on the series ``count`` times, but carries
-    the iterate as a ratio of two integer-coefficient polynomials: each step
-    is then a linear combination plus a shift instead of a series
-    division.  ``tests/test_schur.py`` keeps the series stepper as an
+    the iterate as a ratio p/q of two integer-coefficient polynomials: each
+    step is then a linear combination plus a shift instead of a series
+    division.  The step multiplies by alpha = n/d in lowest terms, so the
+    common factor of p[0] and q[0] never enters the entries, and the content
+    gcd(p, q) is divided out only on every ``_CONTENT_PERIOD``-th step.
+    q[0] starts at twice the common denominator and stays positive, so
+    ``|p[0]| < q[0]`` is the disk test.  The
+    results do not depend on the content, since each alpha is a normalised
+    Fraction.  ``tests/test_schur.py`` keeps the series stepper as an
     oracle and pins the two routes to bit-identical results.
     """
     if count < 0:
@@ -100,22 +114,29 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
         )
     if F.coefficient(0) != 1:
         raise ValueError("Caratheodory series must have constant term 1")
-    p, q = _fraction_free_start(F, F.valid_order)
+    # Step k reads p[0] and q[0] after k index drops: count orders suffice.
+    p, q = _fraction_free_start(F, count)
     out: list[Fraction] = []
     for step in range(count):
         p0, q0 = p[0], q[0]
         if abs(p0) >= q0:
             raise ParameterOutOfDisk(f"|alpha_{step}| >= 1")
-        out.append(Fraction(p0, q0))
-        # f' = (1/z) (q0 p - p0 q) / (q0 q - p0 p); the numerator's constant
-        # term cancels exactly, so the shift is an index drop.
-        new_p = [q0 * x - p0 * y for x, y in zip(p[1:], q[1:])]
-        new_q = [q0 * y - p0 * x for x, y in zip(p[:-1], q[:-1])]
-        g = math.gcd(*new_p, *new_q)
-        if g > 1:
-            new_p = [v // g for v in new_p]
-            new_q = [v // g for v in new_q]
-        p, q = new_p, new_q
+        alpha = Fraction(p0, q0)
+        out.append(alpha)
+        # With p0 = t*n, q0 = t*d and t = gcd(p0, q0) > 0, the update
+        # f' = (1/z) (d p - n q) / (d q - n p) keeps q0 > 0: the new q0 is
+        # t*(d*d - n*n) and |n| < d.  The numerator's constant term
+        # t*(d*n - n*d) cancels exactly, so the shift is an index drop.
+        n, d = alpha.numerator, alpha.denominator
+        p, q = (
+            [d * x - n * y for x, y in zip(p[1:], q[1:])],
+            [d * y - n * x for x, y in zip(p[:-1], q[:-1])],
+        )
+        if step % _CONTENT_PERIOD == _CONTENT_PERIOD - 1:
+            g = math.gcd(*p, *q)
+            if g > 1:
+                p = [v // g for v in p]
+                q = [v // g for v in q]
     return out
 
 

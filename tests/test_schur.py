@@ -1,7 +1,9 @@
+import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expected_values import (
     CARATHEODORY_F,
@@ -97,6 +99,8 @@ def test_schur_of_point_mass_is_unimodular_constant():
     assert all(f.coefficient(k) == 0 for k in range(1, 10))
     with pytest.raises(ParameterOutOfDisk):
         schur_step(SchurState(f))
+    with pytest.raises(ParameterOutOfDisk, match=r"\|alpha_0\|"):
+        extract_verblunsky(F_series, 5)
 
 
 def test_schur_requires_unit_constant():
@@ -155,15 +159,67 @@ def test_extract_requires_orders():
 
 
 def test_extract_agrees_with_stepping():
-    G = caratheodory_series(26, NU)
-    fast = extract_verblunsky(G, 24)
-    slow = run_steps(schur_from_caratheodory(G), 24).extracted
+    # 50 steps cross three content strips and stop between two.
+    G = caratheodory_series(52, NU)
+    fast = extract_verblunsky(G, 50)
+    slow = run_steps(schur_from_caratheodory(G), 50).extracted
     assert tuple(fast) == slow
 
-    F_series = caratheodory_series(26, MU)
-    fast = extract_verblunsky(F_series, 24)
-    slow = run_steps(schur_from_caratheodory(F_series), 24).extracted
+    F_series = caratheodory_series(52, MU)
+    fast = extract_verblunsky(F_series, 50)
+    slow = run_steps(schur_from_caratheodory(F_series), 50).extracted
     assert tuple(fast) == slow
+
+
+@st.composite
+def positive_trigonometric_measures(draw):
+    """Caratheodory series [1, c_1, ..., c_m] of the density 1 + sum c_j cos(j theta).
+
+    The rational c_j have sum |c_j| < 1, so the density is positive and the
+    measure is nontrivial: every Verblunsky parameter lies in the open disk.
+    """
+    numerators = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
+    denominator = sum(map(abs, numerators)) + draw(st.integers(1, 30))
+    return TruncatedSeries([1] + [F(a, denominator) for a in numerators], 41)
+
+
+@settings(deadline=None, max_examples=15)
+@given(positive_trigonometric_measures())
+def test_extract_agrees_with_stepping_on_positive_densities(G):
+    # 40 steps span more than two content-stripping periods.
+    fast = extract_verblunsky(G, 40)
+    slow = run_steps(schur_from_caratheodory(G), 40).extracted
+    assert tuple(fast) == slow
+    assert all(abs(a) < 1 for a in fast)
+
+
+def test_extract_rejects_finite_support_past_a_content_strip():
+    # The uniform measure on the 20th roots of unity has 20 support points,
+    # so alpha_0..alpha_18 lie in the disk and alpha_19 on its boundary.
+    roots = TruncatedSeries([1] + [2 if j % 20 == 0 else 0 for j in range(1, 31)], 30)
+    inside = extract_verblunsky(roots, 19)
+    assert all(abs(a) < 1 for a in inside)
+    with pytest.raises(ParameterOutOfDisk, match=r"\|alpha_19\|"):
+        extract_verblunsky(roots, 25)
+
+
+def test_extract_strips_content_and_bounds_growth(monkeypatch):
+    # White-box guard: a loop that stays exact but stops dividing out the
+    # integer content would let the entries grow by the bit length of an
+    # alpha denominator on every step.
+    G = caratheodory_series(601, NU)
+    real_gcd = math.gcd
+    calls = []
+
+    def spy(*args):
+        calls.append((len(args), max((v.bit_length() for v in args), default=0)))
+        return real_gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    extract_verblunsky(G, 600)
+    monkeypatch.undo()
+    assert sum(1 for n_args, _ in calls if n_args > 2) >= 600 // 16
+    assert max(bits for _, bits in calls) <= 400
 
 
 def test_interleaving_composition_law():
