@@ -5,9 +5,10 @@ pattern repeats in 2x4 blocks shifted right by two columns per block row.
 The finite matrix here is the plain truncation of the infinite one, which
 leaves every interior column orthonormal; only the last two columns feel the
 cut.  Storage is by diagonals (offsets -2..+2), each with the span of rows
-that holds its non-zero entries.  A step that is told how far the state
-reaches (its support) touches only those rows, so one application costs
-O(support), plus the O(dimension) zero-filled output.
+that holds its non-zero entries.  Builders write whole bands by slices,
+one for each parity of row.  A step is told how far the state reaches (its
+support) and touches only those rows, so one application costs O(support),
+plus the O(dimension) zero-filled output.
 
 Transitions are read along rows: row r lists the amplitudes for one step out
 of basis state r.  Applying the operator to a state vector therefore
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -61,11 +62,13 @@ def disk_point(value: AlphaLike) -> tuple[complex, float]:
 class BandedUnitary:
     """Unitary with bandwidth 2, stored as five diagonals.
 
-    ``bands[o + 2, r]`` holds the entry at (row r, column r + o).  Instances
-    are immutable after construction.  ``spans`` lists ``(o, lo, hi)`` for
-    each band with a non-zero entry, offsets ascending: rows lo..hi - 1 run
-    from its first to its last non-zero entry inside the matrix.  Slots
-    whose column falls outside the matrix are never read.
+    ``bands[o + 2, r]`` holds the entry at (row r, column r + o).  The
+    constructor keeps the array it is given, without a copy, and makes it
+    read-only, so the caller's own array stops being writable.  ``spans``
+    lists ``(o, lo, hi)`` for each band with a non-zero entry, offsets
+    ascending: rows lo..hi - 1 run from its first to its last non-zero entry
+    inside the matrix.  Slots whose column falls outside the matrix are never
+    read; builders zero them all the same.
     """
 
     __slots__ = ("bands", "dimension", "spans")
@@ -83,15 +86,6 @@ class BandedUnitary:
             if rows.size:
                 spans.append((o, first + int(rows[0]), first + int(rows[-1]) + 1))
         self.spans = tuple(spans)
-
-    @classmethod
-    def from_entries(cls, dim: int, entries: Iterable[Entry]) -> "BandedUnitary":
-        """Inverse of ``nonzero_entries``; drops in-band triples outside the matrix."""
-        bands = np.zeros((5, dim), dtype=complex)
-        for row, col, value in entries:
-            if 0 <= row < dim and 0 <= col < dim:
-                bands[col - row + 2, row] = value
-        return cls(bands)
 
     def nonzero_entries(self) -> Iterator[Entry]:
         """Yield (row, col, value) for every non-zero entry, row-major."""
@@ -134,24 +128,22 @@ def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
     return BandedUnitary(bands)
 
 
-def apply_from_source(
-    state: Sequence[complex], M: BandedUnitary, support: Optional[int] = None
-) -> np.ndarray:
+def apply_from_source(state: Sequence[complex], M: BandedUnitary, support: int) -> np.ndarray:
     """One step of the dynamics: out[c] = sum_r state[r] * M[r, c].
 
-    ``support`` promises that ``state[support:]`` is zero; only rows below it
-    are read.  With finite entries the result is bit for bit the full sum:
-    each skipped term is a zero product, and adding a zero to an accumulator
-    that starts at +0.0 changes nothing.  The output has full length.
+    ``support`` is required: it promises that ``state[support:]`` is zero, and
+    only rows below it are read; ``M.dimension`` reads every row.  With
+    finite entries the result is bit for bit the full sum: each skipped term
+    is a zero product, and adding a zero to an accumulator that starts at
+    +0.0 changes nothing.  The output has full length.
     """
     v = np.asarray(state, dtype=complex)
     n = M.dimension
     if v.shape != (n,):
         raise DimensionMismatch(f"state has shape {v.shape}, operator dimension {n}")
-    top = n if support is None else support
     out = np.zeros(n, dtype=complex)
     for o, lo, hi in M.spans:
-        hi = min(hi, top)
+        hi = min(hi, support)
         if lo < hi:
             out[lo + o : hi + o] += v[lo:hi] * M.bands[o + 2, lo:hi]
     return out

@@ -66,27 +66,31 @@ def coined_walk_matrix(
     """Transition matrix of the coined walk; rows are source states.
 
     ``coins`` may be a single coin (used at every site) or one coin per site;
-    at least (dim + 1) // 2 coins are consumed.
+    at least (dim + 1) // 2 coins are consumed.  Site i's coin fills rows 2i
+    and 2i + 1: a move left to column 2i - 1 (c21, c22) and a move right to
+    column 2i + 2 (c11, c12); at site 0 the left move lands in column 0.
+    The bands are written by slices, each coin entry copied as it is.
     """
     if dim < 4:
         raise ValueError("dim must be >= 4")
     sites = (dim + 1) // 2
     if isinstance(coins, CoinMatrix):
-        per_site = [coins] * sites
+        c = [coins] * sites
     else:
-        per_site = list(coins[:sites])
-        if len(per_site) < sites:
-            raise ValueError(f"need at least {sites} coins, got {len(per_site)}")
-
-    def entries():
-        for i, c in enumerate(per_site):
-            left = 2 * i - 1 if i >= 1 else 0
-            yield 2 * i, left, c.c21
-            yield 2 * i, 2 * i + 2, c.c11
-            yield 2 * i + 1, left, c.c22
-            yield 2 * i + 1, 2 * i + 2, c.c12
-
-    return BandedUnitary.from_entries(dim, entries())
+        c = list(coins[:sites])
+        if len(c) < sites:
+            raise ValueError(f"need at least {sites} coins, got {len(c)}")
+    h = dim // 2  # sites with an odd row inside the matrix
+    bands = np.zeros((5, dim), dtype=complex)
+    bands[2, 0] = c[0].c21  # row 2i
+    bands[1, 2::2] = [s.c21 for s in c[1:]]
+    bands[4, 0::2] = [s.c11 for s in c]
+    bands[1, 1] = c[0].c22  # row 2i + 1
+    bands[0, 3::2] = [s.c22 for s in c[1:h]]
+    bands[3, 1::2] = [s.c12 for s in c[:h]]
+    # Entries whose column falls outside the matrix are dropped.
+    bands[3, -1] = bands[4, -2] = bands[4, -1] = 0
+    return BandedUnitary(bands)
 
 
 def hadamard_alpha(count: int) -> list[float]:

@@ -14,10 +14,13 @@ exists to check a production route by a second, unrelated one:
   constructor so that the valid-order ledger still applies;
 * ``dense``: the full matrix of a ``BandedUnitary``, from its non-zero
   entries;
-* ``disk_point_by_fraction``, ``build_cmv_by_entry`` and
-  ``apply_full_length``: the earlier ``cmv`` routines (Fraction complement,
-  one numpy-scalar entry at a time, every band over the full dimension),
-  against which the production ones are held bit for bit;
+* ``from_entries``: a ``BandedUnitary`` placed one (row, col, value) triple
+  at a time, the inverse of ``BandedUnitary.nonzero_entries``;
+* ``disk_point_by_fraction``, ``build_cmv_by_entry``,
+  ``coined_walk_matrix_by_entry`` and ``apply_full_length``: the earlier
+  ``cmv`` and ``walk`` routines (Fraction complement, one entry at a time
+  through ``from_entries``, every band over the full dimension), against
+  which the production ones are held bit for bit;
 * ``cmv_from_theta``: the CMV matrix as the product L M of 2x2 blocks,
   against ``cmv.build_cmv``;
 * ``spectral_moments``: the return amplitudes (M^n)[0, 0], stepped on the
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from rieszwalk.cmv import (
     apply_from_source,
 )
 from rieszwalk.series import CoefficientLike, TruncatedSeries
+from rieszwalk.walk import CoinMatrix
 
 
 # -- exact series ---------------------------------------------------------------
@@ -175,6 +179,15 @@ def dense(M: BandedUnitary) -> np.ndarray:
     return out
 
 
+def from_entries(dim: int, entries: Iterable[Entry]) -> BandedUnitary:
+    """Inverse of ``nonzero_entries``; drops in-band triples outside the matrix."""
+    bands = np.zeros((5, dim), dtype=complex)
+    for row, col, value in entries:
+        if 0 <= row < dim and 0 <= col < dim:
+            bands[col - row + 2, row] = value
+    return BandedUnitary(bands)
+
+
 def disk_point_by_fraction(value: AlphaLike) -> tuple[complex, float]:
     """``cmv.disk_point`` with the complement 1 - value^2 formed as a Fraction."""
     if isinstance(value, (Fraction, int)):
@@ -211,7 +224,32 @@ def build_cmv_by_entry(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
                 yield row, k + 1, -a[k + 1] * np.conj(a[k + 2])
                 yield row, k + 2, -a[k + 1] * r[k + 2]
 
-    return BandedUnitary.from_entries(dim, entries())
+    return from_entries(dim, entries())
+
+
+def coined_walk_matrix_by_entry(
+    coins: Union[CoinMatrix, Sequence[CoinMatrix]], dim: int
+) -> BandedUnitary:
+    """``walk.coined_walk_matrix`` one (row, col, value) triple at a time."""
+    if dim < 4:
+        raise ValueError("dim must be >= 4")
+    sites = (dim + 1) // 2
+    if isinstance(coins, CoinMatrix):
+        per_site = [coins] * sites
+    else:
+        per_site = list(coins[:sites])
+        if len(per_site) < sites:
+            raise ValueError(f"need at least {sites} coins, got {len(per_site)}")
+
+    def entries():
+        for i, c in enumerate(per_site):
+            left = 2 * i - 1 if i >= 1 else 0
+            yield 2 * i, left, c.c21
+            yield 2 * i, 2 * i + 2, c.c11
+            yield 2 * i + 1, left, c.c22
+            yield 2 * i + 1, 2 * i + 2, c.c12
+
+    return from_entries(dim, entries())
 
 
 def apply_full_length(state: Sequence[complex], M: BandedUnitary) -> np.ndarray:

@@ -1,0 +1,27 @@
+"""The mutant catalogue in ``mutants.py`` still applies to the package.
+
+Running the catalogue is not part of this suite (``python tests/mutants.py``
+takes about a minute); these checks only keep it from rotting: each edit's
+old text occurs exactly once in its file, and each named test exists.
+"""
+
+import re
+
+import pytest
+
+from mutants import MUTANTS, ROOT
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutant_old_text_occurs_once(mutant):
+    assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
+    assert mutant.new != mutant.old
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutant_names_existing_tests(mutant):
+    assert mutant.tests
+    for node in mutant.tests:
+        path, name = node.split("::")
+        source = (ROOT / path).read_text()
+        assert re.search(rf"^def {re.escape(name)}\(", source, re.M), node

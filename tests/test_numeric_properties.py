@@ -6,7 +6,13 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import apply_full_length, first_return_full_length, spectral_moments
+from oracles import (
+    apply_full_length,
+    coined_walk_matrix_by_entry,
+    first_return_full_length,
+    from_entries,
+    spectral_moments,
+)
 from rieszwalk.cmv import BandedUnitary, DimensionTooSmall, build_cmv, unitarity_defect
 from rieszwalk.walk import (
     CoinMatrix,
@@ -35,7 +41,7 @@ property_settings = settings(deadline=None, max_examples=60)
 @given(st.lists(in_disk, min_size=2, max_size=40))
 def test_from_entries_inverts_nonzero_entries(alphas):
     m = build_cmv(alphas, len(alphas))
-    again = BandedUnitary.from_entries(m.dimension, m.nonzero_entries())
+    again = from_entries(m.dimension, m.nonzero_entries())
     assert again.dimension == m.dimension
     assert np.array_equal(again.bands, m.bands)
 
@@ -76,6 +82,15 @@ def unitary_coin(draw) -> CoinMatrix:
         -u * s * cmath.exp(-1j * b),
         u * c * cmath.exp(-1j * a),
     )
+
+
+@property_settings
+@given(st.lists(unitary_coin(), min_size=1, max_size=8), st.integers(4, 61))
+def test_coined_walk_matrix_matches_entry_oracle_bitwise(coins, dim):
+    coins = [coins[i % len(coins)] for i in range(dim)]
+    got, want = coined_walk_matrix(coins, dim), coined_walk_matrix_by_entry(coins, dim)
+    assert got.bands.tobytes() == want.bands.tobytes()
+    assert got.spans == want.spans
 
 
 def steps_bitwise_like_full_length(M: BandedUnitary, head: list, steps: int) -> bool:

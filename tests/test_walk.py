@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     apply_full_length,
+    coined_walk_matrix_by_entry,
     dense,
     first_return_by_renewal,
     first_return_full_length,
@@ -162,6 +163,17 @@ def test_coined_walk_validations():
         coined_walk_matrix(HADAMARD_COIN, 3)
     with pytest.raises(ValueError):
         coined_walk_matrix([HADAMARD_COIN] * 2, 12)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 7, 8, 9, 33, 34, 8008])
+def test_coined_walk_matrix_matches_entry_oracle_bitwise(dim):
+    # Eleven distinct coins cycled over the sites, one more than is consumed.
+    pool = [random_coin(seed) for seed in range(11)]
+    per_site = [pool[i % 11] for i in range((dim + 1) // 2 + 1)]
+    for coins in (HADAMARD_COIN, per_site):
+        got, want = coined_walk_matrix(coins, dim), coined_walk_matrix_by_entry(coins, dim)
+        assert got.bands.tobytes() == want.bands.tobytes()
+        assert got.spans == want.spans
 
 
 # -- Verblunsky sequence of the Hadamard walk ------------------------------------
