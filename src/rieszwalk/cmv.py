@@ -6,9 +6,11 @@ The finite matrix here is the plain truncation of the infinite one, which
 leaves every interior column orthonormal; only the last two columns feel the
 cut.  Storage is by diagonals (offsets -2..+2), each with the span of rows
 that holds its non-zero entries.  Builders write whole bands by slices,
-one for each parity of row.  A step is told how far the state reaches (its
-support) and touches only those rows, so one application costs O(support),
-plus the O(dimension) zero-filled output.
+one for each parity of row, slots outside the matrix included; only the
+``BandedUnitary`` constructor knows those slots, and zeroes them on its own
+copy.  A step is told how far the state reaches (its support) and touches
+only those rows, so one application costs O(support), plus the O(dimension)
+zero-filled output.
 
 Transitions are read along rows: row r lists the amplitudes for one step out
 of basis state r.  Applying the operator to a state vector therefore
@@ -63,39 +65,36 @@ class BandedUnitary:
     """Unitary with bandwidth 2, stored as five diagonals.
 
     ``bands[o + 2, r]`` holds the entry at (row r, column r + o).  The
-    constructor keeps the array it is given, without a copy, and makes it
-    read-only, so the caller's own array stops being writable.  ``spans``
-    lists ``(o, lo, hi)`` for each band with a non-zero entry, offsets
-    ascending: rows lo..hi - 1 run from its first to its last non-zero entry
-    inside the matrix.  Slots whose column falls outside the matrix are never
-    read; builders zero them all the same.
+    constructor owns the truncation: it copies the bands it is given, zeroes
+    the slots whose column falls outside the matrix, and makes its copy
+    read-only; the caller's array is left as it was.  ``spans`` lists
+    ``(o, lo, hi)`` for each band with a non-zero entry, offsets ascending:
+    rows lo..hi - 1 run from its first to its last non-zero entry.
     """
 
     __slots__ = ("bands", "dimension", "spans")
 
     def __init__(self, bands: np.ndarray):
+        bands = np.array(bands, dtype=complex)
         if bands.ndim != 2 or bands.shape[0] != 5:
             raise ValueError("bands must have shape (5, dimension)")
+        # The (row, column) slots (0, -2), (1, -1), (0, -1), (n - 1, n),
+        # (n - 2, n) and (n - 1, n + 1), in band order; slices allow n < 2.
+        bands[0, :2] = bands[1, :1] = bands[3, -1:] = bands[4, -2:] = 0
+        bands.flags.writeable = False
         self.bands = bands
-        self.dimension = n = bands.shape[1]
-        self.bands.flags.writeable = False
+        self.dimension = bands.shape[1]
         spans = []
         for o in range(-2, 3):
-            first = max(0, -o)
-            rows = np.flatnonzero(bands[o + 2, first : n - o])
+            rows = np.flatnonzero(bands[o + 2])
             if rows.size:
-                spans.append((o, first + int(rows[0]), first + int(rows[-1]) + 1))
+                spans.append((o, int(rows[0]), int(rows[-1]) + 1))
         self.spans = tuple(spans)
 
     def nonzero_entries(self) -> Iterator[Entry]:
-        """Yield (row, col, value) for every non-zero entry, row-major."""
-        for r in range(self.dimension):
-            for o in range(-2, 3):
-                c = r + o
-                if 0 <= c < self.dimension:
-                    v = self.bands[o + 2, r]
-                    if v != 0:
-                        yield r, c, complex(v)
+        """(row, col, value) for every non-zero entry, row-major, as Python scalars."""
+        rows, t = np.nonzero(self.bands.T)  # row-major: by row, then offset
+        return zip(rows.tolist(), (rows + t - 2).tolist(), self.bands.T[rows, t].tolist())
 
 
 def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
@@ -108,7 +107,8 @@ def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
     # alpha_(k-1), alpha_k, alpha_(k+1) are a[k], a[k + 1], a[k + 2].  In front
     # sits the boundary: a fictitious coefficient -1 makes the first two rows
     # come out of the same block formula as the rest.  Past the cut alpha = 0,
-    # rho = 1; every entry built from it is dropped.
+    # rho = 1; every entry built from it falls outside the matrix and is
+    # dropped by the constructor.
     a, r = zip((-1.0 + 0j, 0.0), *map(disk_point, alphas[:dim]), (0j, 1.0))
     # Python complex products round as numpy's complex128 scalar ones do;
     # numpy's array loops need not, so each band row is built as a list.
@@ -123,8 +123,6 @@ def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
     bands[1, 1::2] = [-a[k] * r[k + 1] for k in odd]
     bands[2, 1::2] = [-a[k + 1] * a[k + 2].conjugate() for k in odd]
     bands[3, 1::2] = [-a[k + 1] * r[k + 2] for k in odd]
-    # Entries whose column falls outside the matrix are dropped.
-    bands[0, 1] = bands[1, 0] = bands[3, -1] = bands[4, -2] = bands[4, -1] = 0
     return BandedUnitary(bands)
 
 
@@ -159,14 +157,9 @@ def unitarity_defect(M: BandedUnitary) -> float:
     n = M.dimension
     if n < 5:
         raise ValueError("defect needs dimension >= 5")
-    # colband[c, t] = entry at (row c - 2 + t, column c)
-    colband = np.zeros((n, 5), dtype=complex)
-    for t in range(5):
-        o = 2 - t
-        if o >= 0:
-            colband[o:, t] = M.bands[o + 2, : n - o]
-        else:
-            colband[: n + o, t] = M.bands[o + 2, -o:]
+    # colband[c, t] = entry at (row c - 2 + t, column c).  Rolling band o by
+    # o wraps around only slots outside the matrix, which are zero.
+    colband = np.stack([np.roll(M.bands[4 - t], 2 - t) for t in range(5)], axis=1)
     worst = 0.0
     for d in range(5):
         overlap = np.zeros(n - d, dtype=complex)

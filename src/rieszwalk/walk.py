@@ -69,7 +69,9 @@ def coined_walk_matrix(
     at least (dim + 1) // 2 coins are consumed.  Site i's coin fills rows 2i
     and 2i + 1: a move left to column 2i - 1 (c21, c22) and a move right to
     column 2i + 2 (c11, c12); at site 0 the left move lands in column 0.
-    The bands are written by slices, each coin entry copied as it is.
+    The bands are written by slices, each coin entry copied as it is; the
+    last sites' moves right past the matrix are written too, and
+    ``BandedUnitary`` drops them.
     """
     if dim < 4:
         raise ValueError("dim must be >= 4")
@@ -88,8 +90,6 @@ def coined_walk_matrix(
     bands[1, 1] = c[0].c22  # row 2i + 1
     bands[0, 3::2] = [s.c22 for s in c[1:h]]
     bands[3, 1::2] = [s.c12 for s in c[:h]]
-    # Entries whose column falls outside the matrix are dropped.
-    bands[3, -1] = bands[4, -2] = bands[4, -1] = 0
     return BandedUnitary(bands)
 
 

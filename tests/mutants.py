@@ -9,12 +9,10 @@ tests expected to fail under it.  Run the catalogue with
 For each mutant the runner copies ``src/`` and ``tests/`` to a fresh
 temporary directory, with ``pyproject.toml`` for the pytest settings and
 ``README.md`` for the pinned README commands, applies the edit there, runs
-the named tests with pytest and reads which of them failed.  The hypothesis
-pytest plugin is left out: it reports a failing property through an import
-that the warnings-as-errors setting turns into an internal error.  A
-mutant is killed when every named test fails; the runner lists any mutant
-that survives, in whole or in part, or whose tests cannot run (pytest
-exits with a usage or collection error), and then exits with status 1.  The
+the named tests with pytest and reads which of them failed.  A mutant is
+killed when every named test fails; the runner lists any mutant that
+survives, in whole or in part, or whose tests cannot run (pytest exits with
+a usage or collection error), and then exits with status 1.  The
 repository itself is never edited.  It needs only the standard library and
 pytest, and tier-1 does not collect it; ``test_mutants.py`` checks that each
 ``old`` text still occurs exactly once, so the catalogue cannot rot silently.
@@ -46,6 +44,7 @@ class Mutant(NamedTuple):
 WALK = "src/rieszwalk/walk.py"
 CMV = "src/rieszwalk/cmv.py"
 SCHUR = "src/rieszwalk/schur.py"
+ANSATZ = "src/rieszwalk/ansatz.py"
 
 MUTANTS = (
     Mutant(
@@ -69,16 +68,6 @@ MUTANTS = (
             "tests/test_walk.py::test_coined_walk_matrix_matches_entry_oracle_bitwise",
             "tests/test_numeric_properties.py::test_coined_walk_matrix_matches_entry_oracle_bitwise",
             "tests/test_readme.py::test_stdout_is_pinned",
-        ),
-    ),
-    Mutant(
-        "coined-corner-left-unzeroed",
-        WALK,
-        "bands[3, -1] = bands[4, -2] = bands[4, -1] = 0",
-        "bands[4, -2] = bands[4, -1] = 0",
-        (
-            "tests/test_walk.py::test_coined_walk_matrix_matches_entry_oracle_bitwise",
-            "tests/test_numeric_properties.py::test_coined_walk_matrix_matches_entry_oracle_bitwise",
         ),
     ),
     Mutant(
@@ -143,11 +132,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "build-cmv-corner-left-unzeroed",
+        "constructor-corner-left-unzeroed",
         CMV,
-        "bands[0, 1] = bands[1, 0] = bands[3, -1]",
-        "bands[0, 1] = bands[3, -1]",
-        ("tests/test_cmv.py::test_build_cmv_matches_entry_oracle_bitwise",),
+        "bands[0, :2] = bands[1, :1] = bands[3, -1:]",
+        "bands[0, :2] = bands[3, -1:]",
+        (
+            "tests/test_cmv.py::test_junk_outside_the_matrix_is_never_read",
+            "tests/test_cmv.py::test_junk_twin_matches_its_clean_twin",
+            "tests/test_cmv.py::test_every_small_dimension_constructs",
+        ),
+    ),
+    Mutant(
+        "constructor-corner-right-unzeroed",
+        CMV,
+        "bands[3, -1:] = bands[4, -2:] = 0",
+        "bands[3, -1:] = 0",
+        (
+            "tests/test_walk.py::test_coined_walk_matrix_matches_entry_oracle_bitwise",
+            "tests/test_numeric_properties.py::test_coined_walk_matrix_matches_entry_oracle_bitwise",
+            "tests/test_cmv.py::test_junk_twin_matches_its_clean_twin",
+        ),
+    ),
+    Mutant(
+        "ansatz-numerator-sign",
+        ANSATZ,
+        "4 * four_p - 1",
+        "4 * four_p + 1",
+        ("tests/test_acceptance.py::test_criterion_05_ansatz_verification_512",),
     ),
 )
 
@@ -178,7 +189,7 @@ def run(mutant: Mutant) -> list[str]:
         target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH="src")
         cmd = [sys.executable, "-m", "pytest", "-q", "-rfE"]
-        cmd += ["-p", "no:cacheprovider", "-p", "no:hypothesispytest"]
+        cmd += ["-p", "no:cacheprovider"]
         proc = subprocess.run(
             [*cmd, *mutant.tests], cwd=work, env=env,
             capture_output=True, text=True, timeout=TIMEOUT_S,

@@ -244,6 +244,18 @@ def test_cmv_dump(capsys):
     assert pairs == sorted(pairs)
 
 
+def test_cmv_json_has_integer_row_and_col_cells(capsys):
+    from rieszwalk.walk import riesz_walk_matrix
+
+    code, out, _ = run(capsys, "cmv", "--coin", "riesz", "--dim", "16", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["columns"] == ["row", "col", "real", "imag"]
+    assert all(type(r) is int and type(c) is int for r, c, _, _ in payload["rows"])
+    want = [[r, c, v.real, v.imag] for r, c, v in riesz_walk_matrix(16).nonzero_entries()]
+    assert payload["rows"] == want
+
+
 def test_cmv_hadamard_dumps_the_cmv_operator(capsys):
     from rieszwalk.cmv import build_cmv
     from rieszwalk.walk import HADAMARD_COIN, coined_walk_matrix, hadamard_alpha

@@ -26,6 +26,7 @@ from rieszwalk.cmv import (
     unitarity_defect,
 )
 from rieszwalk.riesz import moment
+from rieszwalk.walk import HADAMARD_COIN, coined_walk_matrix
 
 
 def free_matrix(dim: int) -> BandedUnitary:
@@ -268,6 +269,63 @@ def test_junk_outside_the_matrix_is_never_read():
     m = BandedUnitary(np.where(np.arange(n) < 2, bands, 0))
     assert m.spans == ()
     assert bits(apply_from_source(full, m, support=n)) == bits(np.zeros(n))
+
+
+def outside_the_matrix(n: int) -> np.ndarray:
+    """Mask of the band slots (o + 2, r) whose column r + o is not in 0..n - 1."""
+    col = np.arange(n) + np.arange(-2, 3)[:, None]
+    return (col < 0) | (col >= n)
+
+
+@pytest.mark.parametrize("junk", [math.nan, 1e300 + 1e300j, complex(math.inf, math.nan)])
+@pytest.mark.parametrize(
+    "clean",
+    [riesz_matrix(33), random_matrix(16, seed=7), coined_walk_matrix(HADAMARD_COIN, 12)],
+    ids=["riesz", "random", "hadamard-coined"],
+)
+def test_junk_twin_matches_its_clean_twin(clean, junk):
+    n = clean.dimension
+    assert np.count_nonzero(outside_the_matrix(n)) == 6
+    m = BandedUnitary(np.where(outside_the_matrix(n), junk, clean.bands))
+    assert m.bands.tobytes() == clean.bands.tobytes()
+    assert m.spans == clean.spans
+    assert list(m.nonzero_entries()) == list(clean.nonzero_entries())
+    full = random_state(n, seed=n)
+    for support in (0, 1, n // 2, n):
+        state = full.copy()
+        state[support:] = 0
+        got = apply_from_source(state, m, support=support)
+        assert bits(got) == bits(apply_from_source(state, clean, support=support)), support
+    assert unitarity_defect(m) == unitarity_defect(clean)
+
+
+def test_constructor_copies_and_leaves_the_callers_array_writable():
+    n = 9
+    bands = np.where(outside_the_matrix(n), math.nan, random_state(5 * n, seed=9).reshape(5, n))
+    before = bands.tobytes()
+    m = BandedUnitary(bands)
+    assert bands.tobytes() == before
+    assert bands.flags.writeable
+    assert not m.bands.flags.writeable
+    assert not np.shares_memory(bands, m.bands)
+    bands.flags.writeable = False
+    assert BandedUnitary(bands).bands.tobytes() == m.bands.tobytes()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_every_small_dimension_constructs(n):
+    m = BandedUnitary(np.ones((5, n), dtype=complex))
+    assert m.dimension == n
+    assert np.array_equal(m.bands, np.where(outside_the_matrix(n), 0, 1))
+    assert list(m.nonzero_entries()) == [
+        (r, c, 1 + 0j) for r in range(n) for c in range(n) if abs(r - c) <= 2
+    ]
+
+
+def test_constructor_rejects_a_wrong_shape():
+    for shape in ((5,), (4, 8), (5, 8, 1)):
+        with pytest.raises(ValueError):
+            BandedUnitary(np.zeros(shape, dtype=complex))
 
 
 def test_finite_propagation_speed():
