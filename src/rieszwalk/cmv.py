@@ -4,13 +4,23 @@ A CMV operator is pentadiagonal: rows 0 and 1 are special, then the sparsity
 pattern repeats in 2x4 blocks shifted right by two columns per block row.
 The finite matrix here is the plain truncation of the infinite one, which
 leaves every interior column orthonormal; only the last two columns feel the
-cut.  Storage is by diagonals (offsets -2..+2), each with the span of rows
-that holds its non-zero entries.  Builders write whole bands by slices,
+cut.  Storage is by diagonals (offsets -2..+2), each with a table of the
+rows that hold its non-zero entries.  Builders write whole bands by slices,
 one for each parity of row, slots outside the matrix included; only the
 ``BandedUnitary`` constructor knows those slots, and zeroes them on its own
 copy.  A step is told how far the state reaches (its support) and touches
 only those rows, so one application costs O(support), plus the O(dimension)
 zero-filled output.
+
+Zero entries come in patterns that repeat along the rows.  The Riesz
+coefficients vanish off n = 3 (mod 4), and CMV rows come in pairs, so the
+Riesz operator's zero pattern repeats every ``PERIOD`` = 8 rows; a
+constant-coin walk's repeats every two.  The constructor records, for each
+band, the residues mod ``PERIOD`` of its non-zero rows, and a step is also
+told the residues at which the state can be non-zero.  It multiplies each
+band once, over one strided slice that holds every row whose residue is in
+both sets, and hands back the residues the next state can reach.  Every
+product it skips has a zero factor.
 
 Transitions are read along rows: row r lists the amplitudes for one step out
 of basis state r.  Applying the operator to a state vector therefore
@@ -27,6 +37,10 @@ import numpy as np
 
 AlphaLike = Union[Fraction, complex, float, int]
 Entry = tuple[int, int, complex]  # (row, col, value)
+Slice = tuple[int, int, int, int]  # (offset, start, stop, stride) of band rows
+
+PERIOD = 8  # rows are classed by their residue mod PERIOD
+ALL_RESIDUES = (1 << PERIOD) - 1  # bit t stands for the rows r with r % PERIOD == t
 
 
 class CoefficientOutOfDisk(ValueError):
@@ -67,12 +81,13 @@ class BandedUnitary:
     ``bands[o + 2, r]`` holds the entry at (row r, column r + o).  The
     constructor owns the truncation: it copies the bands it is given, zeroes
     the slots whose column falls outside the matrix, and makes its copy
-    read-only; the caller's array is left as it was.  ``spans`` lists
-    ``(o, lo, hi)`` for each band with a non-zero entry, offsets ascending:
-    rows lo..hi - 1 run from its first to its last non-zero entry.
+    read-only; the caller's array is left as it was.  ``residue_rows`` lists
+    ``(o, ((t, first, last), ...))`` for each band with a non-zero entry,
+    offsets ascending: t runs over the residues mod ``PERIOD`` of the band's
+    non-zero rows, and first and last are its first and last such row.
     """
 
-    __slots__ = ("bands", "dimension", "spans")
+    __slots__ = ("bands", "dimension", "residue_rows", "_plans")
 
     def __init__(self, bands: np.ndarray):
         bands = np.array(bands, dtype=complex)
@@ -84,12 +99,41 @@ class BandedUnitary:
         bands.flags.writeable = False
         self.bands = bands
         self.dimension = bands.shape[1]
-        spans = []
+        residue_rows = []
         for o in range(-2, 3):
-            rows = np.flatnonzero(bands[o + 2])
-            if rows.size:
-                spans.append((o, int(rows[0]), int(rows[-1]) + 1))
-        self.spans = tuple(spans)
+            rows = []
+            for t in range(PERIOD):
+                k = np.flatnonzero(bands[o + 2, t::PERIOD])
+                if k.size:
+                    rows.append((t, t + PERIOD * int(k[0]), t + PERIOD * int(k[-1])))
+            if rows:
+                residue_rows.append((o, tuple(rows)))
+        self.residue_rows = tuple(residue_rows)
+        self._plans: dict[int, tuple[int, tuple[Slice, ...]]] = {}
+
+    def plan(self, residues: int) -> tuple[int, tuple[Slice, ...]]:
+        """How to step a state that is zero at every row whose residue is not in ``residues``.
+
+        ``residues`` is a bit set over the residues mod ``PERIOD``.  Returns
+        the bit set of the next state and, for each band that meets the
+        state, the one slice of rows to multiply: it starts at the first and
+        stops after the last non-zero row whose residue is in both sets, with
+        the coarsest stride (a divisor of ``PERIOD``) that holds them all.
+        Each of the at most 2 ** PERIOD plans is made once.
+        """
+        plan = self._plans.get(residues)
+        if plan is None:
+            reached, slices = 0, []
+            for o, rows in self.residue_rows:
+                hit = [r for r in rows if residues >> r[0] & 1]
+                if hit:
+                    stride = math.gcd(PERIOD, *(t - hit[0][0] for t, _, _ in hit))
+                    start = min(first for _, first, _ in hit)
+                    slices.append((o, start, max(last for _, _, last in hit) + 1, stride))
+                    for t, _, _ in hit:
+                        reached |= 1 << (t + o) % PERIOD
+            plan = self._plans[residues] = (reached, tuple(slices))
+        return plan
 
     def nonzero_entries(self) -> Iterator[Entry]:
         """(row, col, value) for every non-zero entry, row-major, as Python scalars."""
@@ -126,25 +170,43 @@ def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
     return BandedUnitary(bands)
 
 
+def apply_on_residues(
+    v: np.ndarray, M: BandedUnitary, support: int, residues: int
+) -> tuple[np.ndarray, int]:
+    """One step of the dynamics, out[c] = sum_r v[r] * M[r, c], and out's residues.
+
+    ``v`` is a complex array of length ``M.dimension``.  Two promises say
+    where it is zero: at every index from ``support`` on, and at every index
+    whose residue mod ``PERIOD`` is not in the bit set ``residues``.  Only
+    rows inside both are read, by ``M.plan(residues)``.  With finite entries
+    the result is bit for bit the full sum: each skipped term is a zero
+    product, the kept ones still add in ascending offset order, and adding a
+    zero to an accumulator that starts at +0.0 changes nothing.  The output
+    has full length; the returned bit set holds every residue at which it
+    can be non-zero.
+    """
+    reached, slices = M.plan(residues)
+    out = np.zeros(M.dimension, dtype=complex)
+    for o, lo, hi, stride in slices:
+        hi = min(hi, support)
+        if lo < hi:
+            out[lo + o : hi + o : stride] += v[lo:hi:stride] * M.bands[o + 2, lo:hi:stride]
+    return out, reached
+
+
 def apply_from_source(state: Sequence[complex], M: BandedUnitary, support: int) -> np.ndarray:
     """One step of the dynamics: out[c] = sum_r state[r] * M[r, c].
 
     ``support`` is required: it promises that ``state[support:]`` is zero, and
-    only rows below it are read; ``M.dimension`` reads every row.  With
-    finite entries the result is bit for bit the full sum: each skipped term
-    is a zero product, and adding a zero to an accumulator that starts at
-    +0.0 changes nothing.  The output has full length.
+    only rows below it are read; ``M.dimension`` reads every row.  The step
+    is ``apply_on_residues`` with every residue allowed, so the result is bit
+    for bit the full sum.  The output has full length.
     """
     v = np.asarray(state, dtype=complex)
     n = M.dimension
     if v.shape != (n,):
         raise DimensionMismatch(f"state has shape {v.shape}, operator dimension {n}")
-    out = np.zeros(n, dtype=complex)
-    for o, lo, hi in M.spans:
-        hi = min(hi, support)
-        if lo < hi:
-            out[lo + o : hi + o] += v[lo:hi] * M.bands[o + 2, lo:hi]
-    return out
+    return apply_on_residues(v, M, support, ALL_RESIDUES)[0]
 
 
 def unitarity_defect(M: BandedUnitary) -> float:

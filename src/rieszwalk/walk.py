@@ -21,10 +21,11 @@ import numpy as np
 
 from . import ansatz
 from .cmv import (
+    PERIOD,
     BandedUnitary,
     DimensionMismatch,
     DimensionTooSmall,
-    apply_from_source,
+    apply_on_residues,
     build_cmv,
 )
 
@@ -140,8 +141,12 @@ def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[Wal
     Every check runs before the first state is yielded.  The support spreads
     by at most two indices per step; the required dimension keeps it away
     from the deficient last columns for every step.  Each step passes that
-    bound to ``apply_from_source`` as its ``support`` promise, so it reads
-    only the rows the walk can have reached, with bit-identical results.
+    bound to ``cmv.apply_on_residues`` as its ``support`` promise, with the
+    residues mod ``PERIOD`` at which the state can be non-zero: taken once
+    from the initial state's non-zero indices, then carried from step to
+    step through the operator's residue table.  So a step reads only the
+    rows the walk can have reached and the band entries it can meet there,
+    with bit-identical results.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -159,9 +164,10 @@ def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[Wal
             raise DimensionTooSmall(
                 f"{steps} steps from support <= {high} need dimension >= {needed}"
             )
+    residues = sum(1 << t for t in set((nonzero % PERIOD).tolist()))
     for step in range(1, steps + 1):
         # Before this step the state is zero from index high + 2 * step - 1 on.
-        v = apply_from_source(v, M, support=high + 2 * step - 1)
+        v, residues = apply_on_residues(v, M, high + 2 * step - 1, residues)
         yield WalkState(v)
 
 
@@ -190,8 +196,9 @@ def first_return_numeric(M: BandedUnitary, max_n: int) -> np.ndarray:
     came back to index 0, then remove it.  So the step-n amplitude is
     a_n = <e0, M (Q M)^(n-1) e0>, where Q removes the origin (Grunbaum,
     Velazquez, Werner and Werner, Commun. Math. Phys. 320, 2013).  Each
-    step reads only the light cone, as ``trajectory`` does.  Entry [n - 1]
-    of the result is the step-n amplitude.
+    step reads only the light cone and the residues the state can occupy,
+    as ``trajectory`` does; the walk starts at residue 0.  Entry [n - 1] of
+    the result is the step-n amplitude.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -203,9 +210,10 @@ def first_return_numeric(M: BandedUnitary, max_n: int) -> np.ndarray:
     v = np.zeros(M.dimension, dtype=complex)
     v[0] = 1.0
     a = np.zeros(max_n, dtype=complex)
+    residues = 1
     for n in range(max_n):
         # Before this step the state is zero from index 2 * n + 1 on.
-        v = apply_from_source(v, M, support=2 * n + 1)
+        v, residues = apply_on_residues(v, M, 2 * n + 1, residues)
         a[n] = v[0]
         v[0] = 0
     return a

@@ -27,7 +27,10 @@ exists to check a production route by a second, unrelated one:
   light cone, against the exact moments;
 * ``first_return_full_length`` and ``first_return_by_renewal``: the walk
   killed at the origin stepped over the full dimension, and the renewal
-  recursion over ``spectral_moments``, against ``walk.first_return_numeric``.
+  recursion over ``spectral_moments``, against ``walk.first_return_numeric``;
+* ``hadamard_first_return``: the Hadamard walk's first-return amplitudes in
+  closed form, against ``walk.first_return_numeric`` on both Hadamard
+  operators.
 """
 
 from __future__ import annotations
@@ -335,3 +338,21 @@ def first_return_by_renewal(M: BandedUnitary, max_n: int) -> np.ndarray:
             acc -= a[k] * r[n - k]
         a[n] = acc
     return a[1:]
+
+
+def hadamard_first_return(max_n: int) -> np.ndarray:
+    """First-return amplitudes a_1..a_max_n of the Hadamard walk, in closed form.
+
+    a_1 = 1/sqrt(2) and a_(4k-1) = (-1)^(k+1) c_k / sqrt(2), where
+    c_k = -C(2k, k) / ((2k - 1) 4^k) (k >= 1) are the Taylor coefficients
+    of sqrt(1 - x); every other a_n is 0.  The generating function is
+    sum a_n z^n = (z + (1 - sqrt(1 + z^4)) / z) / sqrt(2).  Each |c_k| is
+    one correctly rounded integer division.  Entry [n - 1] is a_n.
+    """
+    a = np.zeros(max_n)
+    if max_n:
+        a[0] = 1 / math.sqrt(2)
+    for k in range(1, (max_n + 1) // 4 + 1):
+        c = -(math.comb(2 * k, k) / ((2 * k - 1) * 4**k))
+        a[4 * k - 2] = (-1) ** (k + 1) * c / math.sqrt(2)
+    return a

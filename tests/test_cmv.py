@@ -16,6 +16,7 @@ from oracles import (
 )
 from rieszwalk.ansatz import alpha
 from rieszwalk.cmv import (
+    PERIOD,
     BandedUnitary,
     CoefficientOutOfDisk,
     DimensionMismatch,
@@ -241,12 +242,45 @@ def test_apply_matches_full_length_oracle_bitwise(kind):
         assert bits(got) == bits(apply_full_length(state, m)), support
 
 
-def test_spans_cover_the_non_zero_rows_of_each_band():
-    # The Riesz operator's main diagonal is zero.  The free operator is a
+def residue_rows_by_entry(m: BandedUnitary) -> tuple:
+    """``m.residue_rows`` gathered from the non-zero entries one at a time."""
+    rows = {}
+    for r, c, _ in m.nonzero_entries():
+        rows.setdefault(c - r, {}).setdefault(r % PERIOD, []).append(r)
+    return tuple(
+        (o, tuple((t, min(rs), max(rs)) for t, rs in sorted(rows[o].items())))
+        for o in sorted(rows)
+    )
+
+
+def test_residue_rows_cover_the_non_zero_rows_of_each_band():
+    # The Riesz operator's main diagonal is zero, and its offsets -1 and +1
+    # are non-zero only at rows 1, 5 and 2, 6 mod 8.  The free operator is a
     # shift: its rows 0, 2, 4 move right by two, row 1 left by one and rows
-    # 3, 5, 7 left by two; its offsets 0 and +1 get no span.
-    assert [o for o, _, _ in riesz_matrix(40).spans] == [-2, -1, 1, 2]
-    assert free_matrix(8).spans == ((-2, 3, 8), (-1, 1, 2), (2, 0, 5))
+    # 3, 5, 7 left by two; its offsets 0 and +1 hold no entry.
+    riesz = riesz_matrix(40).residue_rows
+    assert [(o, [t for t, _, _ in rows]) for o, rows in riesz] == [
+        (-2, [1, 3, 5, 7]), (-1, [1, 5]), (1, [2, 6]), (2, [0, 2, 4, 6]),
+    ]
+    assert free_matrix(8).residue_rows == (
+        (-2, ((3, 3, 3), (5, 5, 5), (7, 7, 7))),
+        (-1, ((1, 1, 1),)),
+        (2, ((0, 0, 0), (2, 2, 2), (4, 4, 4))),
+    )
+    for m in (riesz_matrix(41), random_matrix(37, seed=2), coined_walk_matrix(HADAMARD_COIN, 30)):
+        assert m.residue_rows == residue_rows_by_entry(m)
+
+
+def test_riesz_walk_plans_take_one_row_in_eight():
+    # From the origin the Riesz walk reaches {2}, then cycles through
+    # {3, 4}, {1, 6}, {0, 7}, {2, 5}; each band meets one residue of each.
+    m = riesz_matrix(64)
+    residues, seen = 1, []
+    for _ in range(10):
+        residues, slices = m.plan(residues)
+        assert slices and all(stride == PERIOD for *_, stride in slices)
+        seen.append([t for t in range(PERIOD) if residues >> t & 1])
+    assert seen[:6] == [[2], [3, 4], [1, 6], [0, 7], [2, 5], [3, 4]]
 
 
 def test_junk_outside_the_matrix_is_never_read():
@@ -259,7 +293,9 @@ def test_junk_outside_the_matrix_is_never_read():
     bands[0, :2] = bands[1, 0] = bands[3, -1] = math.nan
     bands[4, -2:] = 1e300 + 1e300j
     m = BandedUnitary(bands)
-    assert m.spans == ((-2, 4, 8), (-1, 4, 8), (0, 4, 8), (1, 4, 8), (2, 4, 5))
+    assert m.residue_rows == tuple(
+        (o, tuple((t, t, t) for t in range(4, 8 if o < 2 else 5))) for o in range(-2, 3)
+    )
     full = random_state(n, seed=4)
     for support in range(n + 1):
         state = full.copy()
@@ -267,7 +303,7 @@ def test_junk_outside_the_matrix_is_never_read():
         got = apply_from_source(state, m, support=support)
         assert bits(got) == bits(apply_full_length(state, m)), support
     m = BandedUnitary(np.where(np.arange(n) < 2, bands, 0))
-    assert m.spans == ()
+    assert m.residue_rows == ()
     assert bits(apply_from_source(full, m, support=n)) == bits(np.zeros(n))
 
 
@@ -288,7 +324,7 @@ def test_junk_twin_matches_its_clean_twin(clean, junk):
     assert np.count_nonzero(outside_the_matrix(n)) == 6
     m = BandedUnitary(np.where(outside_the_matrix(n), junk, clean.bands))
     assert m.bands.tobytes() == clean.bands.tobytes()
-    assert m.spans == clean.spans
+    assert m.residue_rows == clean.residue_rows
     assert list(m.nonzero_entries()) == list(clean.nonzero_entries())
     full = random_state(n, seed=n)
     for support in (0, 1, n // 2, n):

@@ -37,6 +37,23 @@ amplitude = st.builds(
 property_settings = settings(deadline=None, max_examples=60)
 
 
+@st.composite
+def alpha_lists(draw, min_size: int, max_size: int) -> list[complex]:
+    """Coefficients in the disk; some lists are zero off one residue class.
+
+    The class is drawn mod 4 or mod 8, as the Riesz coefficients vanish off
+    n = 3 (mod 4), so the operator's bands hold zeros in repeating patterns.
+    """
+    alphas = draw(st.lists(in_disk, min_size=min_size, max_size=max_size))
+    period = draw(st.sampled_from([1, 4, 8]))
+    residue = draw(st.integers(0, period - 1))
+    return [a if j % period == residue else 0j for j, a in enumerate(alphas)]
+
+
+# Initial states whose head has zeros among its entries.
+heads = st.lists(st.one_of(st.just(0j), amplitude), min_size=1, max_size=10)
+
+
 @property_settings
 @given(st.lists(in_disk, min_size=2, max_size=40))
 def test_from_entries_inverts_nonzero_entries(alphas):
@@ -90,7 +107,17 @@ def test_coined_walk_matrix_matches_entry_oracle_bitwise(coins, dim):
     coins = [coins[i % len(coins)] for i in range(dim)]
     got, want = coined_walk_matrix(coins, dim), coined_walk_matrix_by_entry(coins, dim)
     assert got.bands.tobytes() == want.bands.tobytes()
-    assert got.spans == want.spans
+    assert got.residue_rows == want.residue_rows
+
+
+@st.composite
+def coin_with_zeros(draw) -> CoinMatrix:
+    """The swap coin [[0, p], [q, 0]] or the diagonal coin [[p, 0], [0, q]], |p| = |q| = 1."""
+    p, q = (cmath.exp(1j * draw(angle)) for _ in range(2))
+    return CoinMatrix(0, p, q, 0) if draw(st.booleans()) else CoinMatrix(p, 0, 0, q)
+
+
+any_coin = st.one_of(unitary_coin(), coin_with_zeros())
 
 
 def steps_bitwise_like_full_length(M: BandedUnitary, head: list, steps: int) -> bool:
@@ -107,9 +134,9 @@ def steps_bitwise_like_full_length(M: BandedUnitary, head: list, steps: int) -> 
 @given(st.data())
 def test_cmv_trajectory_matches_full_length_stepping_bitwise(data):
     steps = data.draw(st.integers(0, 20))
-    head = data.draw(st.lists(amplitude, min_size=1, max_size=6))
+    head = data.draw(heads)
     dim = max(2 * steps + 8, len(head) + 2 * steps + 2)
-    alphas = data.draw(st.lists(in_disk, min_size=dim, max_size=dim))
+    alphas = data.draw(alpha_lists(dim, dim))
     assert steps_bitwise_like_full_length(build_cmv(alphas, dim), head, steps)
 
 
@@ -117,10 +144,10 @@ def test_cmv_trajectory_matches_full_length_stepping_bitwise(data):
 @given(st.data())
 def test_coined_trajectory_matches_full_length_stepping_bitwise(data):
     steps = data.draw(st.integers(0, 20))
-    head = data.draw(st.lists(amplitude, min_size=1, max_size=6))
+    head = data.draw(heads)
     dim = max(2 * steps + 8, len(head) + 2 * steps + 2)
     # A few generated coins, repeated along the sites.
-    coins = data.draw(st.lists(unitary_coin(), min_size=1, max_size=4))
+    coins = data.draw(st.lists(any_coin, min_size=1, max_size=4))
     coins = [coins[i % len(coins)] for i in range(dim)]
     assert steps_bitwise_like_full_length(coined_walk_matrix(coins, dim), head, steps)
 
@@ -142,14 +169,14 @@ def killed_walk_checks(M: BandedUnitary, max_n: int) -> None:
 
 
 @property_settings
-@given(st.lists(in_disk, min_size=3, max_size=60), st.data())
+@given(alpha_lists(3, 60), st.data())
 def test_cmv_first_return_is_the_killed_walk(alphas, data):
     m = build_cmv(alphas, len(alphas))
     killed_walk_checks(m, data.draw(st.integers(0, (m.dimension - 3) // 2)))
 
 
 @property_settings
-@given(st.lists(unitary_coin(), min_size=1, max_size=4), st.integers(4, 60), st.data())
+@given(st.lists(any_coin, min_size=1, max_size=4), st.integers(4, 60), st.data())
 def test_coined_first_return_is_the_killed_walk(coins, dim, data):
     coins = [coins[i % len(coins)] for i in range(dim)]
     m = coined_walk_matrix(coins, dim)
