@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import ansatz
 from .riesz import MeasureVariant, caratheodory_series, moment
 from .schur import (
+    FirstReturnSeries,
     cumulative_return_probability,
     extract_verblunsky,
     first_return_series,
@@ -247,8 +248,13 @@ def cmd_first_return(args) -> int:
     if args.method in ("exact", "both") and args.coin != "riesz":
         raise InputError("exact first-return amplitudes exist only for --coin riesz")
     if args.method != "numeric":
-        F = caratheodory_series(max_n + 1, MeasureVariant.MU)
-        series = first_return_series(schur_from_caratheodory(F), max_n)
+        # f_MU(z) = z^3 f_NU(z^4): the walk first returns only at steps
+        # n = 4k, with NU's step-k amplitude.
+        F = caratheodory_series(max_n // 4 + 1, MeasureVariant.NU)
+        nu = first_return_series(schur_from_caratheodory(F), max_n // 4)
+        spread = [Fraction(0)] * max_n
+        spread[3::4] = nu.amplitudes  # step 4k sits at index 4k - 1
+        series = FirstReturnSeries(tuple(spread))
         amplitudes = series.amplitudes
         cumulative = cumulative_return_probability(series)
     if args.method != "exact":

@@ -175,9 +175,11 @@ def apply_on_residues(
 ) -> tuple[np.ndarray, int]:
     """One step of the dynamics, out[c] = sum_r v[r] * M[r, c], and out's residues.
 
-    ``v`` is a complex array of length ``M.dimension``.  Two promises say
+    ``v`` is a complex array of length ``M.dimension``; its length is not
+    checked here (``walk.trajectory`` checks it once).  Two promises say
     where it is zero: at every index from ``support`` on, and at every index
-    whose residue mod ``PERIOD`` is not in the bit set ``residues``.  Only
+    whose residue mod ``PERIOD`` is not in the bit set ``residues``;
+    ``M.dimension`` and ``ALL_RESIDUES`` promise nothing.  Only
     rows inside both are read, by ``M.plan(residues)``.  With finite entries
     the result is bit for bit the full sum: each skipped term is a zero
     product, the kept ones still add in ascending offset order, and adding a
@@ -192,21 +194,6 @@ def apply_on_residues(
         if lo < hi:
             out[lo + o : hi + o : stride] += v[lo:hi:stride] * M.bands[o + 2, lo:hi:stride]
     return out, reached
-
-
-def apply_from_source(state: Sequence[complex], M: BandedUnitary, support: int) -> np.ndarray:
-    """One step of the dynamics: out[c] = sum_r state[r] * M[r, c].
-
-    ``support`` is required: it promises that ``state[support:]`` is zero, and
-    only rows below it are read; ``M.dimension`` reads every row.  The step
-    is ``apply_on_residues`` with every residue allowed, so the result is bit
-    for bit the full sum.  The output has full length.
-    """
-    v = np.asarray(state, dtype=complex)
-    n = M.dimension
-    if v.shape != (n,):
-        raise DimensionMismatch(f"state has shape {v.shape}, operator dimension {n}")
-    return apply_on_residues(v, M, support, ALL_RESIDUES)[0]
 
 
 def unitarity_defect(M: BandedUnitary) -> float:

@@ -1,13 +1,13 @@
 """Exact moments of the Riesz measure and its Caratheodory series.
 
-The Riesz measure is the weak limit of the densities prod_k (1 + cos(4^k
-theta)) on the unit circle.  Two variants are handled: MU starts the product
-at k = 1, NU (Riesz's original choice) at k = 0.  They are related by
-substituting z^4, which is why MU moments vanish except on indices whose
-balanced base-4 expansion uses only exponents >= 1.
+Every exact quantity is computed for NU, Riesz's own measure: the weak limit
+of the densities prod_(k>=0) (1 + cos(4^k theta)) on the unit circle.  The
+walk's measure MU starts the product at k = 1, so MU(theta) = NU(4 theta),
+and each MU quantity is an NU one re-indexed by z -> z^4: moments j -> 4j,
+Verblunsky parameters j -> 4j + 3, first returns n -> 4n; the rest vanish.
 
-A moment is nonzero exactly when the index can be written as a signed sum of
-distinct powers of 4, in which case it equals 1/2^(number of powers).  The
+An NU moment is nonzero exactly when the index can be written as a signed sum
+of distinct powers of 4, in which case it equals 1/2^(number of powers).  The
 digit extraction below is the executable form of that (unique) expansion.
 """
 
@@ -31,14 +31,11 @@ class MeasureVariant(enum.Enum):
 SignedQuarticExpansion = tuple[tuple[int, int], ...]
 
 
-def signed_quartic_digits(
-    j: int, variant: MeasureVariant = MeasureVariant.MU
-) -> Optional[SignedQuarticExpansion]:
-    """Expand j as +-4^k1 +- ... +- 4^kp with k1 > ... > kp, or None.
+def signed_quartic_digits(j: int) -> Optional[SignedQuarticExpansion]:
+    """Expand j as +-4^k1 +- ... +- 4^kp with k1 > ... > kp >= 0, or None.
 
-    MU requires every exponent >= 1; NU admits exponent 0.  Returns None when
-    no such expansion exists (the common case), which is a normal outcome and
-    not an error: it encodes a vanishing moment.
+    Returns None when no such expansion exists (the common case), which is a
+    normal outcome and not an error: it encodes a vanishing NU moment.
     """
     if j == 0:
         raise ValueError("j = 0 has no expansion; handle the zeroth moment directly")
@@ -59,17 +56,19 @@ def signed_quartic_digits(
         else:  # r == 2: no balanced digit can absorb it
             return None
         level += 1
-    if variant is MeasureVariant.MU and digits and digits[0][0] == 0:
-        return None
     digits.reverse()
     return tuple(digits)
 
 
 def moment(j: int, variant: MeasureVariant = MeasureVariant.MU) -> Fraction:
     """Exact moment of the chosen measure variant; moment(-j) == moment(j)."""
+    if variant is MeasureVariant.MU:
+        if j % 4:
+            return Fraction(0)
+        j //= 4
     if j == 0:
         return Fraction(1)
-    digits = signed_quartic_digits(j, variant)
+    digits = signed_quartic_digits(j)
     if digits is None:
         return Fraction(0)
     return Fraction(1, 2 ** len(digits))

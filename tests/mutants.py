@@ -47,6 +47,7 @@ CMV = "src/rieszwalk/cmv.py"
 CLI = "src/rieszwalk/cli.py"
 SCHUR = "src/rieszwalk/schur.py"
 ANSATZ = "src/rieszwalk/ansatz.py"
+RIESZ = "src/rieszwalk/riesz.py"
 
 MUTANTS = (
     Mutant(
@@ -184,6 +185,42 @@ MUTANTS = (
             "tests/test_walk.py::test_coined_walk_matrix_matches_entry_oracle_bitwise",
             "tests/test_numeric_properties.py::test_coined_walk_matrix_matches_entry_oracle_bitwise",
             "tests/test_cmv.py::test_junk_twin_matches_its_clean_twin",
+        ),
+    ),
+    Mutant(
+        "first-return-offset-dropped",
+        SCHUR,
+        "f.coefficient(n - 1) for n in",
+        "f.coefficient(n) for n in",
+        (
+            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
+            "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
+            "tests/test_acceptance.py::test_criterion_07_first_return_oracle_triangle",
+        ),
+    ),
+    Mutant(
+        "cli-spread-one-step-early",
+        CLI,
+        "spread[3::4] = nu.amplitudes",
+        "spread[2::4] = nu.amplitudes",
+        (
+            "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
+            "tests/test_cli.py::test_first_return_exact_matches_the_mu_series_route",
+            "tests/test_cli.py::test_first_return_exact",
+            "tests/test_readme.py::test_readme_commands_run",
+        ),
+    ),
+    Mutant(
+        "mu-moment-map-dropped",
+        RIESZ,
+        "    if variant is MeasureVariant.MU:\n        if j % 4:\n"
+        "            return Fraction(0)\n        j //= 4\n",
+        "",
+        (
+            "tests/test_riesz.py::test_moment_examples",
+            "tests/test_riesz.py::test_digits_match_brute_force",
+            "tests/test_riesz.py::test_moment_variant_consistency",
+            "tests/test_exact_properties.py::test_mu_moment_is_the_nu_moment_at_a_quarter_of_the_index",
         ),
     ),
     Mutant(

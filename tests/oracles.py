@@ -9,6 +9,9 @@ exists to check a production route by a second, unrelated one:
   without self-transitions;
 * ``mul`` and ``reciprocal``: the term-by-term Fraction product and
   reciprocal, against the quotient ``TruncatedSeries.__truediv__``;
+* ``mu_signed_quartic_digits``: the signed base-4 digit rule of the sparse
+  measure MU (every exponent >= 1), against ``riesz.moment`` on MU, which
+  reaches MU only by re-indexing NU;
 * ``add``, ``scale`` and ``substitute_quartic``: series operations the
   exact layer does not need, built through the ``TruncatedSeries``
   constructor so that the valid-order ledger still applies;
@@ -37,25 +40,58 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from rieszwalk.ansatz import backbone
 from rieszwalk.cmv import (
+    ALL_RESIDUES,
     AlphaLike,
     BandedUnitary,
     CoefficientOutOfDisk,
     DimensionMismatch,
     DimensionTooSmall,
     Entry,
-    apply_from_source,
+    apply_on_residues,
 )
 from rieszwalk.series import CoefficientLike, TruncatedSeries
 from rieszwalk.walk import CoinMatrix
 
 
-# -- exact series ---------------------------------------------------------------
+# -- exact moments and series ---------------------------------------------------
+
+
+def mu_signed_quartic_digits(j: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """Expand j as +-4^k1 +- ... +- 4^kp with k1 > ... > kp >= 1, or None.
+
+    The digit rule the package once kept for the sparse measure MU: the
+    balanced base-4 digits of j, rejected when the lowest one sits at
+    exponent 0.
+    """
+    if j == 0:
+        raise ValueError("j = 0 has no expansion; handle the zeroth moment directly")
+    flip = -1 if j < 0 else 1
+    m = abs(j)
+    digits = []
+    level = 0
+    while m:
+        r = m % 4
+        if r == 0:
+            m //= 4
+        elif r == 1:
+            digits.append((level, flip))
+            m = (m - 1) // 4
+        elif r == 3:
+            digits.append((level, -flip))
+            m = (m + 1) // 4
+        else:  # r == 2: no balanced digit can absorb it
+            return None
+        level += 1
+    if digits and digits[0][0] == 0:
+        return None
+    digits.reverse()
+    return tuple(digits)
 
 
 def mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
@@ -256,7 +292,7 @@ def coined_walk_matrix_by_entry(
 
 
 def apply_full_length(state: Sequence[complex], M: BandedUnitary) -> np.ndarray:
-    """``cmv.apply_from_source`` with every band applied over the full dimension."""
+    """``cmv.apply_on_residues`` with every band applied over the full dimension."""
     v = np.asarray(state, dtype=complex)
     n = M.dimension
     if v.shape != (n,):
@@ -307,7 +343,7 @@ def spectral_moments(M: BandedUnitary, n: int) -> np.ndarray:
     moments = [v[0]]
     for step in range(1, n + 1):
         # The support grows by at most two indices per step.
-        v = apply_from_source(v, M, support=2 * step - 1)
+        v = apply_on_residues(v, M, 2 * step - 1, ALL_RESIDUES)[0]
         moments.append(v[0])
     return np.array(moments)
 

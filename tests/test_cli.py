@@ -10,6 +10,12 @@ import pytest
 
 import rieszwalk
 from rieszwalk.cli import main
+from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
+from rieszwalk.schur import (
+    first_return_series,
+    renewal_first_return,
+    schur_from_caratheodory,
+)
 
 HADAMARD_LINE = "0.7071067811865476,0 0.7071067811865476,0 0.7071067811865476,0 -0.7071067811865476,0\n"
 
@@ -222,6 +228,36 @@ def test_first_return_both_passes(capsys):
     assert code == 0
     assert header == ["n", "amplitude", "cumulative_probability", "discrepancy"]
     assert all(float(row[3]) <= 1e-8 for row in rows)
+
+
+def exact_first_return(capsys, max_n):
+    """Amplitudes and cumulative sums of ``first-return --method exact``, as Fractions."""
+    code, out, _ = run(
+        capsys, "first-return", "--coin", "riesz", "--max", str(max_n),
+        "--method", "exact", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [n for n, _, _ in rows] == list(range(1, max_n + 1))
+    return [F(a) for _, a, _ in rows], [F(c) for _, _, c in rows]
+
+
+def test_first_return_exact_is_the_renewal_inversion(capsys):
+    # Schur-Taylor = renewal on the route the command runs: NU's Schur
+    # function spread to every fourth step, against 1 - 1/r(z) of MU's moments.
+    amplitudes, cumulative = exact_first_return(capsys, 1001)
+    renewal = renewal_first_return([moment(j, MeasureVariant.MU) for j in range(1002)], 1001)
+    assert amplitudes == list(renewal.amplitudes)
+    assert cumulative == list(renewal.cumulative)
+
+
+@pytest.mark.parametrize("max_n", range(10))
+def test_first_return_exact_matches_the_mu_series_route(capsys, max_n):
+    amplitudes, cumulative = exact_first_return(capsys, max_n)
+    F_mu = caratheodory_series(max_n + 1, MeasureVariant.MU)
+    series = first_return_series(schur_from_caratheodory(F_mu), max_n)
+    assert amplitudes == list(series.amplitudes)
+    assert cumulative == list(series.cumulative)
 
 
 def test_first_return_exact_needs_riesz(capsys):

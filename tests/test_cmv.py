@@ -16,12 +16,12 @@ from oracles import (
 )
 from rieszwalk.ansatz import alpha
 from rieszwalk.cmv import (
+    ALL_RESIDUES,
     PERIOD,
     BandedUnitary,
     CoefficientOutOfDisk,
-    DimensionMismatch,
     DimensionTooSmall,
-    apply_from_source,
+    apply_on_residues,
     build_cmv,
     disk_point,
     unitarity_defect,
@@ -193,7 +193,7 @@ def test_apply_free_case_moves_origin_up():
     m = free_matrix(8)
     state = np.zeros(8, dtype=complex)
     state[0] = 1.0
-    out = apply_from_source(state, m, support=m.dimension)
+    out = apply_on_residues(state, m, m.dimension, ALL_RESIDUES)[0]
     expected = np.zeros(8, dtype=complex)
     expected[2] = 1.0
     assert np.array_equal(out, expected)
@@ -203,7 +203,7 @@ def test_apply_matches_dense():
     m = random_matrix(20, seed=5)
     rng = np.random.default_rng(2)
     state = rng.normal(size=20) + 1j * rng.normal(size=20)
-    out = apply_from_source(state, m, support=m.dimension)
+    out = apply_on_residues(state, m, m.dimension, ALL_RESIDUES)[0]
     assert np.max(np.abs(out - state @ dense(m))) <= 1e-14
 
 
@@ -213,15 +213,8 @@ def test_apply_preserves_interior_norm():
     state = np.zeros(64, dtype=complex)
     state[10:40] = rng.normal(size=30) + 1j * rng.normal(size=30)
     state /= np.linalg.norm(state)
-    out = apply_from_source(state, m, support=m.dimension)
+    out = apply_on_residues(state, m, m.dimension, ALL_RESIDUES)[0]
     assert abs(np.linalg.norm(out) - 1) <= 1e-12
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        apply_from_source(np.zeros(7), free_matrix(8), support=8)
-    with pytest.raises(DimensionMismatch):
-        apply_from_source(np.zeros(7), free_matrix(8), support=3)
 
 
 def random_state(n: int, seed: int) -> np.ndarray:
@@ -234,11 +227,12 @@ def test_apply_matches_full_length_oracle_bitwise(kind):
     n = 40
     m = build_cmv(alphas_of_kind(kind, n), n)
     full = random_state(n, seed=n)
-    assert bits(apply_from_source(full, m, support=n)) == bits(apply_full_length(full, m))
+    got = apply_on_residues(full, m, n, ALL_RESIDUES)[0]
+    assert bits(got) == bits(apply_full_length(full, m))
     for support in range(n + 3):
         state = full.copy()
         state[support:] = 0
-        got = apply_from_source(state, m, support=support)
+        got = apply_on_residues(state, m, support, ALL_RESIDUES)[0]
         assert bits(got) == bits(apply_full_length(state, m)), support
 
 
@@ -300,11 +294,11 @@ def test_junk_outside_the_matrix_is_never_read():
     for support in range(n + 1):
         state = full.copy()
         state[support:] = 0
-        got = apply_from_source(state, m, support=support)
+        got = apply_on_residues(state, m, support, ALL_RESIDUES)[0]
         assert bits(got) == bits(apply_full_length(state, m)), support
     m = BandedUnitary(np.where(np.arange(n) < 2, bands, 0))
     assert m.residue_rows == ()
-    assert bits(apply_from_source(full, m, support=n)) == bits(np.zeros(n))
+    assert bits(apply_on_residues(full, m, n, ALL_RESIDUES)[0]) == bits(np.zeros(n))
 
 
 def outside_the_matrix(n: int) -> np.ndarray:
@@ -330,8 +324,9 @@ def test_junk_twin_matches_its_clean_twin(clean, junk):
     for support in (0, 1, n // 2, n):
         state = full.copy()
         state[support:] = 0
-        got = apply_from_source(state, m, support=support)
-        assert bits(got) == bits(apply_from_source(state, clean, support=support)), support
+        got = apply_on_residues(state, m, support, ALL_RESIDUES)[0]
+        want = apply_on_residues(state, clean, support, ALL_RESIDUES)[0]
+        assert bits(got) == bits(want), support
     assert unitarity_defect(m) == unitarity_defect(clean)
 
 
@@ -369,7 +364,7 @@ def test_finite_propagation_speed():
     v = np.zeros(64, dtype=complex)
     v[0] = 1.0
     for n in range(1, 20):
-        v = apply_from_source(v, m, support=m.dimension)
+        v = apply_on_residues(v, m, m.dimension, ALL_RESIDUES)[0]
         assert np.all(v[2 * n + 1 :] == 0)
 
 

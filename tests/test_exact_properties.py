@@ -3,12 +3,14 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import mu_signed_quartic_digits
 from rieszwalk.ansatz import decompose_index
 from rieszwalk.cli import main
-from rieszwalk.riesz import MeasureVariant, signed_quartic_digits
+from rieszwalk.riesz import MeasureVariant, moment, signed_quartic_digits
 
 property_settings = settings(deadline=None, max_examples=100)
 
@@ -27,11 +29,28 @@ def signed_quartic_sums(draw):
 @given(signed_quartic_sums(), st.sampled_from(list(MeasureVariant)))
 def test_signed_quartic_digits_recover_the_expansion(drawn, variant):
     j, expansion = drawn
-    got = signed_quartic_digits(j, variant)
+    assert signed_quartic_digits(j) == expansion
+    # MU's moments are NU's on the expansions that avoid 4^0, and 0 elsewhere.
     if variant is MeasureVariant.MU and expansion[-1][0] == 0:
-        assert got is None
+        assert moment(j, variant) == 0
     else:
-        assert got == expansion
+        assert moment(j, variant) == Fraction(1, 2 ** len(expansion))
+
+
+@property_settings
+@given(
+    st.one_of(
+        st.integers(-(10**40), 10**40),
+        signed_quartic_sums().map(lambda drawn: drawn[0]),
+        signed_quartic_sums().map(lambda drawn: -4 * drawn[0]),
+    )
+)
+def test_mu_moment_is_the_nu_moment_at_a_quarter_of_the_index(j):
+    mu = moment(j, MeasureVariant.MU)
+    assert mu == (moment(j // 4, MeasureVariant.NU) if j % 4 == 0 else 0)
+    if j:
+        expansion = mu_signed_quartic_digits(j)
+        assert mu == (0 if expansion is None else Fraction(1, 2 ** len(expansion)))
 
 
 @property_settings

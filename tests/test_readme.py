@@ -36,6 +36,8 @@ README_STDOUT_SHA256 = {
         "af937257800600a06b2fca848a3a0a83c356a5001230ffc7987a1ef9d5d853f2",
     "rieszwalk first-return --coin riesz --max 200 --method both":
         "b0e4337e810015d36a25cf2113ff58a1474d9d38665741a8850269d4acdd7821",
+    "rieszwalk first-return --coin riesz --max 1000 --method exact --float":
+        "3b7d7309bca4b89228cfe4d5323731117bfe400a1b0afd221c073aa5a14a45b8",
     "rieszwalk first-return --coin hadamard --max 70 --method numeric":
         "4dbc238187ba0f3c0f8a03af1c1cce51e2f31c2284df91fb1c61cb7c63881c14",
     "rieszwalk cmv --coin riesz --dim 64":

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import mu_signed_quartic_digits
 from rieszwalk.riesz import (
     MeasureVariant,
     caratheodory_series,
@@ -10,6 +11,11 @@ from rieszwalk.riesz import (
 )
 
 MU, NU = MeasureVariant.MU, MeasureVariant.NU
+
+
+def moment_of(expansion) -> F:
+    """The moment whose index has this signed base-4 expansion (None: no expansion)."""
+    return F(0) if expansion is None else F(1, 2 ** len(expansion))
 
 
 def brute_force_expansions(j: int, min_exponent: int) -> list[tuple[tuple[int, int], ...]]:
@@ -56,41 +62,50 @@ def brute_force_expansions(j: int, min_exponent: int) -> list[tuple[tuple[int, i
     ],
 )
 def test_digit_examples(j, variant, expected):
-    assert signed_quartic_digits(j, variant) == expected
+    if variant is NU:
+        assert signed_quartic_digits(j) == expected
+    else:
+        # The package reaches MU by re-indexing NU; its digit rule is an oracle.
+        assert mu_signed_quartic_digits(j) == expected
+        assert moment(j, MU) == moment_of(expected)
 
 
 def test_digit_negative_flips_signs():
-    pos = signed_quartic_digits(44, MU)
-    neg = signed_quartic_digits(-44, MU)
-    assert neg == tuple((k, -s) for k, s in pos)
+    for j in (44, 3):
+        pos = signed_quartic_digits(j)
+        neg = signed_quartic_digits(-j)
+        assert neg == tuple((k, -s) for k, s in pos)
 
 
 def test_digit_zero_rejected():
     with pytest.raises(ValueError):
-        signed_quartic_digits(0, MU)
+        signed_quartic_digits(0)
 
 
 @pytest.mark.parametrize("variant,min_exp", [(MU, 1), (NU, 0)])
 def test_digits_match_brute_force(variant, min_exp):
+    digit_rule = mu_signed_quartic_digits if variant is MU else signed_quartic_digits
     for j in range(1, 801):
         expansions = brute_force_expansions(j, min_exp)
         assert len(expansions) <= 1, f"expansion of {j} is not unique"
-        got = signed_quartic_digits(j, variant)
-        if expansions:
-            assert got == expansions[0]
-        else:
-            assert got is None
+        expected = expansions[0] if expansions else None
+        assert digit_rule(j) == expected
+        assert moment(j, variant) == moment(-j, variant) == moment_of(expected), j
 
 
 def test_digits_reconstruct():
     for j in range(1, 100_000):
-        digits = signed_quartic_digits(j, MU)
+        digits = signed_quartic_digits(j)
         if digits is None:
+            assert moment(j, MU) == 0
             continue
         assert sum(s * 4**k for k, s in digits) == j
         exps = [k for k, _ in digits]
         assert exps == sorted(set(exps), reverse=True)
-        assert min(exps) >= 1
+        assert min(exps) >= 0
+        # MU keeps exactly the expansions that avoid 4^0, the multiples of 4.
+        assert (min(exps) >= 1) == (j % 4 == 0)
+        assert moment(j, MU) == (moment_of(digits) if j % 4 == 0 else 0)
 
 
 @pytest.mark.parametrize(
@@ -104,6 +119,7 @@ def test_digits_reconstruct():
         (0, NU, F(1)),
         (1, NU, F(1, 2)),
         (3, NU, F(1, 4)),
+        (3, MU, F(0)),
     ],
 )
 def test_moment_examples(j, variant, expected):
