@@ -15,13 +15,9 @@ which partition the integers.  All arithmetic in this module is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
-
-from .riesz import MeasureVariant, caratheodory_series
-from .schur import extract_verblunsky
 
 
 class IndexOutOfRange(ValueError):
@@ -86,8 +82,7 @@ def backbone_constant(i: int) -> int:
     return 3 * (backbone(i // 2) - 4)
 
 
-@dataclass(frozen=True)
-class IndexDecomposition:
+class IndexDecomposition(NamedTuple):
     """Unique writing of m >= 1 as (1 + (3n - 1) 4^p) / 3.
 
     n >= 1 is never congruent to 3 mod 4 and p >= 0; the map m -> (n, p) is
@@ -156,8 +151,7 @@ def limit_values(count: int) -> LimitFamilies:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking the closed form against the Schur algorithm.
 
     ``ansatz_values[m - 1]`` and ``schur_values[m - 1]`` hold the m-th
@@ -182,6 +176,10 @@ def verify_ansatz(count: int) -> VerificationReport:
     cheaper than extracting from the sparse variant and interleaving zeros.
     Every index is compared, so the report carries both full sequences.
     """
+    # Only this check runs the Schur route; the closed form needs neither module.
+    from .riesz import MeasureVariant, caratheodory_series
+    from .schur import extract_verblunsky
+
     G = caratheodory_series(count + 1, MeasureVariant.NU)
     schur_values = tuple(extract_verblunsky(G, count))
     ansatz_values = tuple(nonzero_alpha(m) for m in range(1, count + 1))

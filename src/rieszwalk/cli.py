@@ -4,14 +4,17 @@ Exit codes: 0 success, 1 verification failure (a cross-check found a
 mismatch), 2 usage or input error.  Exact rationals are printed as
 num/den strings unless --float is given; floats use the shortest
 round-tripping decimal.  Identical invocations produce byte-identical
-output, and files are written atomically.  The numeric modules, and so
-numpy, are imported only by the commands that use them.
+output, and files are written atomically.  Throughout the package, a
+module imports another package module, or ``json``, at its top only when
+every use of the module needs it, and otherwise inside the function that
+uses it: a command loads only the code it runs, and the exact commands
+never load numpy.  Those imports run at call time, so each name is read
+from its module when the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -19,16 +22,6 @@ import tempfile
 from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, Optional, Sequence
-
-from . import ansatz
-from .riesz import MeasureVariant, caratheodory_series, moment
-from .schur import (
-    FirstReturnSeries,
-    cumulative_return_probability,
-    extract_verblunsky,
-    first_return_series,
-    schur_from_caratheodory,
-)
 
 if TYPE_CHECKING:
     from . import walk
@@ -70,6 +63,8 @@ def write_table(columns: list[str], rows: list[list], args) -> None:
         lines.extend(",".join(_csv_cell(v, use_float) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
+        import json
+
         payload = {
             "columns": columns,
             "rows": [[_json_cell(v, use_float) for v in row] for row in rows],
@@ -162,6 +157,8 @@ def _write_matrix(matrix: BandedUnitary, args) -> None:
 
 
 def cmd_moments(args) -> int:
+    from .riesz import MeasureVariant, moment
+
     variant = MeasureVariant(args.variant)
     rows = [[j, moment(j, variant)] for j in range(args.max + 1)]
     write_table(["j", "moment"], rows, args)
@@ -178,13 +175,20 @@ def cmd_verblunsky(args) -> int:
 
     if args.method != "both":
         if args.method == "ansatz":
+            from . import ansatz
+
             values = [ansatz.nonzero_alpha(m) for m in range(1, count + 1)]
         else:
+            from .riesz import MeasureVariant, caratheodory_series
+            from .schur import extract_verblunsky
+
             G = caratheodory_series(count + 1, MeasureVariant.NU)
             values = extract_verblunsky(G, count)
         rows = [[index_of(m), v] for m, v in enumerate(values, 1)]
         write_table(["index", "alpha"], rows, args)
         return 0
+    from . import ansatz
+
     report = ansatz.verify_ansatz(count)
     rows = [
         [index_of(m), a, s, a == s]
@@ -198,12 +202,16 @@ def cmd_verblunsky(args) -> int:
 
 
 def cmd_backbone(args) -> int:
+    from . import ansatz
+
     rows = [[i, ansatz.backbone(i)] for i in range(1, args.count + 1)]
     write_table(["i", "value"], rows, args)
     return 0
 
 
 def cmd_limits(args) -> int:
+    from . import ansatz
+
     families = ansatz.limit_values(args.count)
     rows = []
     for fam, (values, start) in enumerate(
@@ -248,15 +256,22 @@ def cmd_first_return(args) -> int:
     if args.method in ("exact", "both") and args.coin != "riesz":
         raise InputError("exact first-return amplitudes exist only for --coin riesz")
     if args.method != "numeric":
+        from .riesz import MeasureVariant, caratheodory_series
+        from .schur import (
+            cumulative_return_probability,
+            first_return_series,
+            schur_from_caratheodory,
+        )
+
         # f_MU(z) = z^3 f_NU(z^4): the walk first returns only at steps
-        # n = 4k, with NU's step-k amplitude.
+        # n = 4k, with NU's step-k amplitude, so the partial sum through
+        # step 4k holds through step 4k + 3.
         F = caratheodory_series(max_n // 4 + 1, MeasureVariant.NU)
         nu = first_return_series(schur_from_caratheodory(F), max_n // 4)
-        spread = [Fraction(0)] * max_n
-        spread[3::4] = nu.amplitudes  # step 4k sits at index 4k - 1
-        series = FirstReturnSeries(tuple(spread))
-        amplitudes = series.amplitudes
-        cumulative = cumulative_return_probability(series)
+        amplitudes = [Fraction(0)] * max_n
+        amplitudes[3::4] = nu.amplitudes  # step 4k sits at index 4k - 1
+        held = [c for c in cumulative_return_probability(nu) for _ in range(4)]
+        cumulative = ([Fraction(0)] * 3 + held)[:max_n]
     if args.method != "exact":
         from . import walk
 

@@ -20,7 +20,6 @@ renewal inversion of the moment sequence coincides with it order by order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -44,24 +43,30 @@ class InsufficientPrecision(ValueError):
     """More series orders were requested than the input can vouch for."""
 
 
-@dataclass(frozen=True)
 class FirstReturnSeries:
     """Amplitudes of first return in exactly n steps, n = 1, 2, ...
 
     ``amplitudes[i]`` is the step i+1 amplitude and ``cumulative[i]`` the
     sum of the squared amplitudes through step i+1.  Those partial sums must
-    be bounded by one: their total is a return probability.
+    be bounded by one: their total is a return probability.  Both fields are
+    set once, by the constructor, and cannot be reassigned.
     """
 
-    amplitudes: tuple[Fraction, ...]
-    cumulative: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("amplitudes", "cumulative")
 
-    def __post_init__(self):
-        cumulative = tuple(accumulate(a * a for a in self.amplitudes))
+    def __init__(self, amplitudes: tuple[Fraction, ...]):
+        cumulative = tuple(accumulate(a * a for a in amplitudes))
         # The partial sums never decrease, so the last one bounds them all.
         if cumulative and cumulative[-1] > 1:
             raise ValueError("cumulative return probability exceeds 1")
+        object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "cumulative", cumulative)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: FirstReturnSeries is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: FirstReturnSeries is immutable")
 
 
 def schur_from_caratheodory(F: TruncatedSeries) -> TruncatedSeries:
@@ -100,6 +105,8 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
     division.  The step multiplies by alpha = n/d in lowest terms, so the
     common factor of p[0] and q[0] never enters the entries, and the content
     gcd(p, q) is divided out only on every ``_CONTENT_PERIOD``-th step.
+    When n = +-1, as in most of the Riesz measure's steps, the update adds
+    or subtracts the other polynomial's entry instead of multiplying it by n.
     q[0] starts at twice the common denominator and stays positive, so
     ``|p[0]| < q[0]`` is the disk test.  The
     results do not depend on the content, since each alpha is a normalised
@@ -128,10 +135,13 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
         # t*(d*d - n*n) and |n| < d.  The numerator's constant term
         # t*(d*n - n*d) cancels exactly, so the shift is an index drop.
         n, d = alpha.numerator, alpha.denominator
-        p, q = (
-            [d * x - n * y for x, y in zip(p[1:], q[1:])],
-            [d * y - n * x for x, y in zip(p[:-1], q[:-1])],
-        )
+        high, low = zip(p[1:], q[1:]), zip(p[:-1], q[:-1])
+        if n == 1:
+            p, q = [d * x - y for x, y in high], [d * y - x for x, y in low]
+        elif n == -1:
+            p, q = [d * x + y for x, y in high], [d * y + x for x, y in low]
+        else:
+            p, q = [d * x - n * y for x, y in high], [d * y - n * x for x, y in low]
         if step % _CONTENT_PERIOD == _CONTENT_PERIOD - 1:
             g = math.gcd(*p, *q)
             if g > 1:

@@ -14,12 +14,10 @@ parameters; the Hadamard walk is the standard constant-coin baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import ansatz
 from .cmv import (
     PERIOD,
     BandedUnitary,
@@ -34,20 +32,27 @@ class NonUnitaryCoin(ValueError):
     """A coin matrix failed the unitarity check."""
 
 
-@dataclass(frozen=True)
 class CoinMatrix:
-    """A 2x2 coin, unitary to within 1e-12; construction rejects any other."""
+    """A 2x2 coin, unitary to within 1e-12; construction rejects any other.
 
-    c11: complex
-    c12: complex
-    c21: complex
-    c22: complex
+    The entries are set once, by the constructor, and cannot be reassigned.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("c11", "c12", "c21", "c22")
+
+    def __init__(self, c11: complex, c12: complex, c21: complex, c22: complex):
+        for name, value in zip(self.__slots__, (c11, c12, c21, c22)):
+            object.__setattr__(self, name, value)
         err = self.unitarity_error()
         # Written so that a NaN error (a non-finite entry) is rejected too.
         if not (err <= 1e-12):
             raise NonUnitaryCoin(f"coin is not unitary (error {err:.3g})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: CoinMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: CoinMatrix is immutable")
 
     def unitarity_error(self) -> float:
         """Max deviation of coin^H coin from the identity."""
@@ -109,11 +114,12 @@ def hadamard_alpha(count: int) -> list[float]:
 
 def riesz_walk_matrix(dim: int) -> BandedUnitary:
     """CMV operator of the Riesz measure, exact coefficients rounded once."""
+    from . import ansatz
+
     return build_cmv([ansatz.alpha(j) for j in range(dim)], dim)
 
 
-@dataclass(frozen=True)
-class WalkState:
+class WalkState(NamedTuple):
     """Amplitude vector over |site> tensor |spin> basis states."""
 
     amplitudes: np.ndarray
@@ -128,8 +134,7 @@ class WalkState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class PositionDistribution:
+class PositionDistribution(NamedTuple):
     """Site-probability law of a walk state."""
 
     probabilities: np.ndarray

@@ -188,6 +188,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "schur-unit-step-minus-one-subtracts",
+        SCHUR,
+        "p, q = [d * x + y for x, y in high], [d * y + x for x, y in low]",
+        "p, q = [d * x - y for x, y in high], [d * y - x for x, y in low]",
+        (
+            "tests/test_schur.py::test_extract_agrees_with_stepping",
+            "tests/test_schur.py::test_extract_agrees_with_stepping_on_positive_densities",
+            "tests/test_acceptance.py::test_criterion_05_ansatz_verification_512",
+            "tests/test_cli.py::test_verblunsky_both_passes",
+        ),
+    ),
+    Mutant(
         "first-return-offset-dropped",
         SCHUR,
         "f.coefficient(n - 1) for n in",
@@ -201,14 +213,21 @@ MUTANTS = (
     Mutant(
         "cli-spread-one-step-early",
         CLI,
-        "spread[3::4] = nu.amplitudes",
-        "spread[2::4] = nu.amplitudes",
+        "amplitudes[3::4] = nu.amplitudes",
+        "amplitudes[2::4] = nu.amplitudes",
         (
             "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
             "tests/test_cli.py::test_first_return_exact_matches_the_mu_series_route",
             "tests/test_cli.py::test_first_return_exact",
             "tests/test_readme.py::test_readme_commands_run",
         ),
+    ),
+    Mutant(
+        "cli-json-imported-at-start-up",
+        CLI,
+        "import argparse\nimport os\n",
+        "import argparse\nimport json\nimport os\n",
+        ("tests/test_cli.py::test_exact_commands_skip_numpy",),
     ),
     Mutant(
         "mu-moment-map-dropped",

@@ -346,19 +346,45 @@ def test_malformed_coin_file(capsys, tmp_path, content):
 
 
 def test_exact_commands_skip_numpy():
+    # dataclasses pulls in inspect, ast and dis; CSV output needs no json.
     script = """
 import sys
 import rieszwalk
 assert not [m for m in sys.modules if m.startswith("rieszwalk.")], "submodule imported"
+before = set(sys.modules)
 import rieszwalk.cli
 for argv in (
     ["moments", "--max", "8"],
     ["verblunsky", "--count", "4", "--method", "both"],
     ["backbone", "--count", "3"],
     ["limits", "--count", "3"],
+    ["first-return", "--coin", "riesz", "--max", "8", "--method", "exact"],
 ):
     assert rieszwalk.cli.main(argv) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
+added = {"dataclasses", "inspect", "json"} & (set(sys.modules) - before)
+assert not added, f"imported {sorted(added)}"
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "coin, unused",
+    [
+        ("hadamard", ["ansatz", "riesz", "schur", "series"]),
+        ("riesz", ["riesz", "schur", "series"]),
+    ],
+)
+def test_walk_commands_skip_the_exact_modules_they_do_not_run(coin, unused):
+    script = f"""
+import sys
+import rieszwalk.cli
+assert rieszwalk.cli.main(["walk", "--coin", "{coin}", "--steps", "2"]) == 0
+loaded = [m for m in {unused!r} if "rieszwalk." + m in sys.modules]
+assert not loaded, f"imported {{loaded}}"
 """
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
@@ -398,11 +424,11 @@ def test_walk_riesz_full_figure_shape(capsys):
 
 
 def test_verblunsky_mismatch_exits_1(capsys, monkeypatch):
-    import rieszwalk.cli as cli_module
+    import rieszwalk.ansatz
 
-    real = cli_module.ansatz.nonzero_alpha
+    real = rieszwalk.ansatz.nonzero_alpha
     monkeypatch.setattr(
-        cli_module.ansatz,
+        rieszwalk.ansatz,
         "nonzero_alpha",
         lambda m: F(9, 10) if m == 3 else real(m),
     )

@@ -4,7 +4,7 @@ import cmath
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     apply_full_length,
@@ -168,11 +168,21 @@ def killed_walk_checks(M: BandedUnitary, max_n: int) -> None:
     assert float(np.sum(np.abs(amps) ** 2)) <= 1 + 1e-12
 
 
+@st.composite
+def killed_cmv_walks(draw) -> tuple[list[complex], int]:
+    """Coefficients, and a number of steps their operator has room for."""
+    alphas = draw(alpha_lists(3, 60))
+    return alphas, draw(st.integers(0, (len(alphas) - 3) // 2))
+
+
 @property_settings
-@given(alpha_lists(3, 60), st.data())
-def test_cmv_first_return_is_the_killed_walk(alphas, data):
-    m = build_cmv(alphas, len(alphas))
-    killed_walk_checks(m, data.draw(st.integers(0, (m.dimension - 3) // 2)))
+@given(killed_cmv_walks())
+# No coefficient is zero, so a step reaches new residues mod PERIOD: the
+# second step reads rows that the first step's residue set alone would miss.
+@example(([0.5, 0.25j, -0.5, 0.3 + 0.2j, -0.1j, 0.4, 0.2 - 0.3j, -0.6, 0.1, 0.35j], 3))
+def test_cmv_first_return_is_the_killed_walk(walk):
+    alphas, max_n = walk
+    killed_walk_checks(build_cmv(alphas, len(alphas)), max_n)
 
 
 @property_settings

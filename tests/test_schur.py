@@ -311,3 +311,13 @@ def test_first_return_series_rejects_excess_probability():
     # The partial sums pass one only at the last term.
     with pytest.raises(ValueError):
         FirstReturnSeries((F(3, 5), F(4, 5), F(1, 1000)))
+
+
+def test_first_return_series_cannot_be_changed_past_its_check():
+    series = FirstReturnSeries((F(3, 5), F(4, 5)))
+    for name in ("amplitudes", "cumulative"):
+        with pytest.raises(AttributeError):
+            setattr(series, name, (F(1), F(1)))
+        with pytest.raises(AttributeError):
+            delattr(series, name)
+    assert series.cumulative == (F(9, 25), F(1))

@@ -134,6 +134,15 @@ def test_coin_construction_checks_unitarity(entries):
         CoinMatrix(*entries)
 
 
+def test_coin_cannot_be_changed_past_its_check():
+    coin = CoinMatrix(1, 0, 0, 1)
+    with pytest.raises(AttributeError):
+        coin.c22 = 2
+    with pytest.raises(AttributeError):
+        del coin.c22
+    assert coin.c22 == 1
+
+
 def test_identity_coins_shift_right():
     m = coined_walk_matrix(CoinMatrix(1, 0, 0, 1), 12)
     full = dense(m)
