@@ -131,7 +131,9 @@ class WalkState(NamedTuple):
         return cls(v)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        # np.linalg.norm's path for a 1-D complex array, without its checks.
+        r, i = self.amplitudes.real, self.amplitudes.imag
+        return math.sqrt(r.dot(r) + i.dot(i))
 
 
 class PositionDistribution(NamedTuple):

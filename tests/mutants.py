@@ -132,6 +132,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # A sign fault beyond index 200 of the Hadamard coefficients: past the
+        # conjugation and spectral-moment checks (dimensions 64 and 108), so
+        # only the closed-form first returns through n = 1000 see it.
+        "hadamard-alpha-sign-wrong-past-200",
+        WALK,
+        "(-a if j % 4 else a)",
+        "(-a if j % 4 or j > 200 else a)",
+        ("tests/test_walk.py::test_hadamard_first_return_matches_closed_form",),
+    ),
+    Mutant(
         "cli-discrepancy-gate-loosened",
         CLI,
         "if worst > DISCREPANCY_LIMIT:",
@@ -228,6 +238,23 @@ MUTANTS = (
         "import argparse\nimport os\n",
         "import argparse\nimport json\nimport os\n",
         ("tests/test_cli.py::test_exact_commands_skip_numpy",),
+    ),
+    Mutant(
+        "run-skips-flush",
+        CLI,
+        "        sys.stdout.flush()\n        sys.stderr.flush()\n",
+        "        pass\n",
+        (
+            "tests/test_cli.py::test_console_invocations_byte_identical",
+            "tests/test_cli.py::test_process_exit_codes",
+        ),
+    ),
+    Mutant(
+        "run-exits-after-failed-flush",
+        CLI,
+        "    except OSError:\n        return code\n",
+        "    except OSError:\n        os._exit(code)\n",
+        ("tests/test_cli.py::test_failed_write_exits_non_zero",),
     ),
     Mutant(
         "mu-moment-map-dropped",

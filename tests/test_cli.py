@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +22,23 @@ HADAMARD_LINE = "0.7071067811865476,0 0.7071067811865476,0 0.7071067811865476,0 
 
 
 def child_env():
-    """Environment in which a child interpreter imports this rieszwalk package."""
+    """Environment in which a child interpreter imports this rieszwalk package.
+
+    Without ``PYTHONUNBUFFERED`` the child's stdout is block-buffered, as it
+    is for a user, so output that the process fails to flush is lost.
+    """
     src = os.path.dirname(os.path.dirname(rieszwalk.__file__))
-    return {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def child(*args, **kwargs):
+    """Run ``python *args`` in ``child_env()``, capturing what it does not redirect."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *args], stderr=subprocess.PIPE, env=child_env(), **kwargs
+    )
 
 
 def run(capsys, *argv):
@@ -539,9 +554,62 @@ def test_output_replaces_only_regular_files(capsys, tmp_path):
     assert not list(tmp_path.glob(".rieszwalk-*"))
 
 
-def test_console_invocations_byte_identical():
-    cmd = [sys.executable, "-m", "rieszwalk.cli", "walk", "--coin", "riesz", "--steps", "12"]
-    a = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
-    b = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
-    assert a.stdout == b.stdout
-    assert a.stdout.endswith(b"\n")
+def test_console_invocations_byte_identical(capsys, tmp_path):
+    # A process's stdout and --output file hold what main writes in-process:
+    # moments --max 2 fits in the 8 KiB stdout buffer, so it is all lost if
+    # the process ends unflushed, and the 4000-step walk (about 100 KB) is
+    # more than a pipe holds.
+    target = tmp_path / "out.csv"
+    for argv in (
+        ["walk", "--coin", "riesz", "--steps", "12"],
+        ["moments", "--max", "2"],
+        ["walk", "--coin", "riesz", "--steps", "4000"],
+    ):
+        _, want, _ = run(capsys, *argv)
+        cmd = ["-m", "rieszwalk.cli", *argv]
+        printed = child(*cmd)
+        written = child(*cmd, "--output", str(target))
+        assert (printed.returncode, printed.stderr) == (0, b""), argv
+        assert (written.returncode, written.stderr, written.stdout) == (0, b"", b""), argv
+        assert printed.stdout == target.read_bytes() == want.encode(), argv
+
+
+def test_process_exit_codes():
+    bad = child("-m", "rieszwalk.cli", "walk", "--coin", "nope", "--steps", "2")
+    assert bad.returncode == 2
+    assert bad.stdout == b""
+    assert bad.stderr == b"error: unknown coin 'nope'\n"
+    # run() ends the process itself, with main's code, and returns nothing.
+    script = """
+import sys
+from fractions import Fraction
+import rieszwalk.ansatz
+import rieszwalk.cli
+real = rieszwalk.ansatz.nonzero_alpha
+rieszwalk.ansatz.nonzero_alpha = lambda m: Fraction(9, 10) if m == 3 else real(m)
+sys.argv = ["rieszwalk", "verblunsky", "--count", "4", "--method", "both"]
+rieszwalk.cli.run()
+sys.exit("run() returned")
+"""
+    failed = child("-c", script)
+    assert failed.returncode == 1
+    assert failed.stderr == b"mismatch at index 11\n"
+    _, rows = rows_of(failed.stdout.decode())
+    assert [row[3] for row in rows] == ["true", "true", "false", "true"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_write_exits_non_zero():
+    # The table fits in the stdout buffer, so the write fails only at the
+    # flush; the interpreter's exit then reports it and ends with 120.
+    with open("/dev/full", "wb") as full:
+        proc = child("-m", "rieszwalk.cli", "moments", "--max", "2", stdout=full)
+    assert proc.returncode == 120
+    assert b"No space left on device" in proc.stderr
+
+
+def test_installed_script_ends_through_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"rieszwalk": "rieszwalk.cli:run"}

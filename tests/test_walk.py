@@ -347,6 +347,20 @@ def test_evolution_norm_and_support():
     assert np.all(dist.probabilities[steps + 1 :] == 0)
 
 
+@pytest.mark.parametrize("coin", ["riesz", "hadamard"])
+def test_norm_is_numpys_norm_bitwise(coin):
+    # The norm trace prints these floats, so they must be np.linalg.norm's bits.
+    steps = 800
+    dim = 2 * steps + 8
+    if coin == "riesz":
+        matrix = riesz_walk_matrix(dim)
+    else:
+        matrix = coined_walk_matrix(HADAMARD_COIN, dim)
+    start = WalkState.origin_up(dim)
+    for state in (start, *trajectory(matrix, start, steps)):
+        assert state.norm() == float(np.linalg.norm(state.amplitudes))
+
+
 def test_point_mass_distribution():
     dist = position_distribution(WalkState.origin_up(8))
     assert dist.probabilities[0] == 1
