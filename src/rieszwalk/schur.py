@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 from .series import TruncatedSeries
@@ -94,24 +94,78 @@ def _fraction_free_start(F: TruncatedSeries, length: int) -> tuple[list[int], li
 # length of one alpha denominator per step.
 _CONTENT_PERIOD = 16
 
+# extract_verblunsky takes this many steps on short prefixes of its
+# polynomials before it brings the whole polynomials forward with one packed
+# product.  A multiple of _CONTENT_PERIOD, so every full block ends on a
+# content strip.
+_BLOCK = 64
+
+
+def _strip_content(*polys: list[int]) -> list[list[int]]:
+    """The polynomials divided by the gcd of all their coefficients."""
+    g = math.gcd(*chain.from_iterable(polys))
+    if g > 1:
+        return [[v // g for v in poly] for poly in polys]
+    return list(polys)
+
+
+def _height(*polys: list[int]) -> int:
+    """Bit length of the largest coefficient modulus."""
+    return max(max(max(poly), -min(poly)) for poly in polys).bit_length()
+
+
+def _slot_bias(width: int, slots: int) -> tuple[int, int]:
+    """The bias 2^(8 width - 1) of one slot and its sum over ``slots`` slots."""
+    bias = 1 << (8 * width - 1)
+    return bias, int.from_bytes(bias.to_bytes(width, "little") * slots, "little")
+
+
+def _pack(values: list[int], width: int) -> int:
+    """sum values[i] 2^(8 width i), for |values[i]| < 2^(8 width - 1)."""
+    bias, biases = _slot_bias(width, len(values))
+    packed = b"".join([(v + bias).to_bytes(width, "little") for v in values])
+    return int.from_bytes(packed, "little") - biases
+
+
+def _unpack(x: int, width: int, slots: int, lo: int, hi: int) -> list[int]:
+    """Slots lo..hi-1 of a ``slots``-slot packed integer whose slots all lie in
+    (-2^(8 width - 1), 2^(8 width - 1))."""
+    bias, biases = _slot_bias(width, slots)
+    raw = (x + biases).to_bytes(width * slots, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - bias
+        for i in range(lo * width, hi * width, width)
+    ]
+
 
 def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
     """First ``count`` Verblunsky parameters of the measure behind F, exactly.
 
     Equivalent to iterating the Schur step (strip the constant term,
     Moebius-shift, divide by z) on the series ``count`` times, but carries
-    the iterate as a ratio p/q of two integer-coefficient polynomials: each
-    step is then a linear combination plus a shift instead of a series
-    division.  The step multiplies by alpha = n/d in lowest terms, so the
-    common factor of p[0] and q[0] never enters the entries, and the content
-    gcd(p, q) is divided out only on every ``_CONTENT_PERIOD``-th step.
-    When n = +-1, as in most of the Riesz measure's steps, the update adds
-    or subtracts the other polynomial's entry instead of multiplying it by n.
-    q[0] starts at twice the common denominator and stays positive, so
-    ``|p[0]| < q[0]`` is the disk test.  The
-    results do not depend on the content, since each alpha is a normalised
-    Fraction.  ``tests/test_schur.py`` keeps the series stepper as an
-    oracle and pins the two routes to bit-identical results.
+    the iterate as a ratio p/q of two integer-coefficient polynomials: with
+    alpha = n/d in lowest terms the step is z p' = d p - n q and
+    q' = d q - n p, the latter cut one entry short.  q[0] starts at twice
+    the common denominator and stays positive, so ``|p[0]| < q[0]`` is the
+    disk test.  The results do not depend on the content, since each alpha
+    is a normalised Fraction.
+
+    The steps run in blocks of ``_BLOCK``, as in the block Schur algorithm
+    of Ammar and Gragg (SIAM J. Matrix Anal. Appl. 9, 1988).  A block of k
+    steps runs the step loop on the first k entries of p and q only, which
+    is all that its parameters read, and builds the block's integer
+    transfer polynomials A and B alongside: z^k p_k = A p + B q and
+    z^k q_k = rev(B) p + rev(A) q, where rev reverses a list of k + 1
+    entries.  (The step matrix ((d, -n), (-n z, d z)) makes the lower row
+    of the transfer matrix the reversal of the upper one, by induction.)
+    The whole p and q then move forward k steps at once: each coefficient
+    list is packed into one integer in fixed-width slots, so each product
+    is two big-integer multiplications in C.  The last block forms no
+    product.  The common integer factor of the two prefixes, and separately
+    that of A and B, is divided out on every ``_CONTENT_PERIOD``-th step,
+    and that of the new p and q after each product.
+    ``tests/test_schur.py`` keeps the series stepper as an oracle and pins
+    the two routes to bit-identical results.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -124,29 +178,46 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
     # Step k reads p[0] and q[0] after k index drops: count orders suffice.
     p, q = _fraction_free_start(F, count)
     out: list[Fraction] = []
-    for step in range(count):
-        p0, q0 = p[0], q[0]
-        if abs(p0) >= q0:
-            raise ParameterOutOfDisk(f"|alpha_{step}| >= 1")
-        alpha = Fraction(p0, q0)
-        out.append(alpha)
-        # With p0 = t*n, q0 = t*d and t = gcd(p0, q0) > 0, the update
-        # f' = (1/z) (d p - n q) / (d q - n p) keeps q0 > 0: the new q0 is
-        # t*(d*d - n*n) and |n| < d.  The numerator's constant term
-        # t*(d*n - n*d) cancels exactly, so the shift is an index drop.
-        n, d = alpha.numerator, alpha.denominator
-        high, low = zip(p[1:], q[1:]), zip(p[:-1], q[:-1])
-        if n == 1:
-            p, q = [d * x - y for x, y in high], [d * y - x for x, y in low]
-        elif n == -1:
-            p, q = [d * x + y for x, y in high], [d * y + x for x, y in low]
-        else:
-            p, q = [d * x - n * y for x, y in high], [d * y - n * x for x, y in low]
-        if step % _CONTENT_PERIOD == _CONTENT_PERIOD - 1:
-            g = math.gcd(*p, *q)
-            if g > 1:
-                p = [v // g for v in p]
-                q = [v // g for v in q]
+    for start in range(0, count, _BLOCK):
+        k = min(_BLOCK, count - start)
+        head_p, head_q = p[:k], q[:k]
+        A, B = [1], [0]
+        for step in range(start, start + k):
+            p0, q0 = head_p[0], head_q[0]
+            if abs(p0) >= q0:
+                raise ParameterOutOfDisk(f"|alpha_{step}| >= 1")
+            alpha = Fraction(p0, q0)
+            out.append(alpha)
+            # With p0 = t*n, q0 = t*d and t = gcd(p0, q0) > 0, the new q0
+            # is t*(d*d - n*n) > 0, and the numerator's constant term
+            # t*(d*n - n*d) cancels exactly, so the shift is an index drop.
+            n, d = alpha.numerator, alpha.denominator
+            high, low = zip(head_p[1:], head_q[1:]), zip(head_p[:-1], head_q[:-1])
+            head_p = [d * x - n * y for x, y in high]
+            head_q = [d * y - n * x for x, y in low]
+            A, B = (
+                [d * a - n * b for a, b in zip(A, reversed(B))] + [0],
+                [d * b - n * a for b, a in zip(B, reversed(A))] + [0],
+            )
+            if step % _CONTENT_PERIOD == _CONTENT_PERIOD - 1:
+                head_p, head_q = _strip_content(head_p, head_q)
+                A, B = _strip_content(A, B)
+        if start + k == count:
+            break
+        # A product coefficient sums 2(k+1) terms, each under
+        # 2^(height(A, B) + height(p, q)), so its modulus is under
+        # 2^(height(A, B) + height(p, q) + bitlen(k+1) + 1); a slot holds
+        # one more bit, for the sign.
+        bits = _height(A, B) + _height(p, q) + (k + 1).bit_length() + 2
+        width = (bits + 7) // 8
+        xp, xq = _pack(p, width), _pack(q, width)
+        xa, xb = _pack(A, width), _pack(B, width)
+        xra, xrb = _pack(A[::-1], width), _pack(B[::-1], width)
+        slots = len(p) + k
+        p, q = _strip_content(
+            _unpack(xa * xp + xb * xq, width, slots, k, len(p)),
+            _unpack(xrb * xp + xra * xq, width, slots, k, len(q)),
+        )
     return out
 
 

@@ -161,8 +161,8 @@ MUTANTS = (
     Mutant(
         "schur-content-never-stripped",
         SCHUR,
-        "        if step % _CONTENT_PERIOD == _CONTENT_PERIOD - 1:\n",
-        "        if False:\n",
+        "            if step % _CONTENT_PERIOD == _CONTENT_PERIOD - 1:\n",
+        "            if False:\n",
         ("tests/test_schur.py::test_extract_strips_content_and_bounds_growth",),
     ),
     Mutant(
@@ -198,16 +198,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "schur-unit-step-minus-one-subtracts",
+        # B's update reads A's entries where B's belong and the reverse.
+        "schur-transfer-update-swaps-roles",
         SCHUR,
-        "p, q = [d * x + y for x, y in high], [d * y + x for x, y in low]",
-        "p, q = [d * x - y for x, y in high], [d * y - x for x, y in low]",
+        "[d * b - n * a for b, a in zip(B, reversed(A))]",
+        "[d * b - n * a for a, b in zip(B, reversed(A))]",
         (
             "tests/test_schur.py::test_extract_agrees_with_stepping",
             "tests/test_schur.py::test_extract_agrees_with_stepping_on_positive_densities",
             "tests/test_acceptance.py::test_criterion_05_ansatz_verification_512",
-            "tests/test_cli.py::test_verblunsky_both_passes",
+            "tests/test_readme.py::test_readme_commands_run",
         ),
+    ),
+    Mutant(
+        "schur-product-rev-swapped",
+        SCHUR,
+        "_unpack(xrb * xp + xra * xq,",
+        "_unpack(xra * xp + xrb * xq,",
+        (
+            "tests/test_schur.py::test_extract_agrees_with_stepping",
+            "tests/test_schur.py::test_extract_agrees_with_stepping_on_positive_densities",
+            "tests/test_schur.py::test_extract_rejects_finite_support_past_a_block",
+            "tests/test_acceptance.py::test_ansatz_verification_1500",
+        ),
+    ),
+    Mutant(
+        "schur-product-slot-one-byte-narrow",
+        SCHUR,
+        "width = (bits + 7) // 8",
+        "width = (bits - 1) // 8",
+        # The Riesz entries stay well under the bound, so only the generic
+        # densities fill a slot.
+        ("tests/test_schur.py::test_extract_agrees_with_stepping_on_positive_densities",),
     ),
     Mutant(
         "first-return-offset-dropped",

@@ -90,6 +90,13 @@ def test_criterion_05_ansatz_verification_512():
         assert len(report.schur_values) == 512
 
 
+def test_ansatz_verification_1500():
+    # The benchmark's size, where the Schur loop crosses many block boundaries.
+    report = ansatz.verify_ansatz(1500)
+    assert report.ok, f"first mismatch at m = {report.first_mismatch}"
+    assert len(report.schur_values) == 1500
+
+
 def test_criterion_06_offset_formula_coherence():
     with criterion(6, "offset recipe equals closed form through index 2047"):
         assert alpha_from_offsets(43) == F(21, 32)

@@ -12,8 +12,10 @@ from expected_values import (
     SCHUR_F,
 )
 from oracles import scale, substitute_quartic
+from rieszwalk import schur
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import (
+    _BLOCK,
     FirstReturnSeries,
     InsufficientPrecision,
     ParameterOutOfDisk,
@@ -159,16 +161,14 @@ def test_extract_requires_orders():
 
 
 def test_extract_agrees_with_stepping():
-    # 50 steps cross three content strips and stop between two.
-    G = caratheodory_series(52, NU)
-    fast = extract_verblunsky(G, 50)
-    slow = run_steps(schur_from_caratheodory(G), 50).extracted
-    assert tuple(fast) == slow
-
-    F_series = caratheodory_series(52, MU)
-    fast = extract_verblunsky(F_series, 50)
-    slow = run_steps(schur_from_caratheodory(F_series), 50).extracted
-    assert tuple(fast) == slow
+    # Counts on both sides of the first two block boundaries, on the dense
+    # series and on the sparse one, whose steps are mostly alpha = 0.
+    top = 2 * _BLOCK + 1
+    for variant in (NU, MU):
+        G = caratheodory_series(top + 1, variant)
+        slow = run_steps(schur_from_caratheodory(G), top).extracted
+        for count in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, top):
+            assert tuple(extract_verblunsky(G, count)) == slow[:count]
 
 
 @st.composite
@@ -184,11 +184,15 @@ def positive_trigonometric_measures(draw):
 
 
 @settings(deadline=None, max_examples=15)
-@given(positive_trigonometric_measures())
-def test_extract_agrees_with_stepping_on_positive_densities(G):
-    # 40 steps span more than two content-stripping periods.
-    fast = extract_verblunsky(G, 40)
+@given(positive_trigonometric_measures(), st.sampled_from((1, 3, 16)))
+def test_extract_agrees_with_stepping_on_positive_densities(G, block):
+    # The stepper cannot afford two blocks of the real size on these
+    # densities, so the blocks shrink: 40 steps in blocks of 16 are two full
+    # blocks and a partial one, and span more than two content strips.
     slow = run_steps(schur_from_caratheodory(G), 40).extracted
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schur, "_BLOCK", block)
+        fast = extract_verblunsky(G, 40)
     assert tuple(fast) == slow
     assert all(abs(a) < 1 for a in fast)
 
@@ -201,6 +205,20 @@ def test_extract_rejects_finite_support_past_a_content_strip():
     assert all(abs(a) < 1 for a in inside)
     with pytest.raises(ParameterOutOfDisk, match=r"\|alpha_19\|"):
         extract_verblunsky(roots, 25)
+
+
+@pytest.mark.parametrize("support", (60, _BLOCK + 16))
+def test_extract_rejects_finite_support_past_a_block(support):
+    # The uniform measure on the support-th roots of unity: every parameter
+    # before alpha_(support-1) is zero, and that one lies on the boundary.
+    # With _BLOCK + 16 roots it comes after the first product.
+    roots = TruncatedSeries(
+        [1] + [2 if j % support == 0 else 0 for j in range(1, support + 12)],
+        support + 11,
+    )
+    assert extract_verblunsky(roots, support - 1) == [F(0)] * (support - 1)
+    with pytest.raises(ParameterOutOfDisk, match=rf"\|alpha_{support - 1}\|"):
+        extract_verblunsky(roots, support + 10)
 
 
 def test_extract_strips_content_and_bounds_growth(monkeypatch):
