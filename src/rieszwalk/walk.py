@@ -142,22 +142,12 @@ class PositionDistribution(NamedTuple):
     probabilities: np.ndarray
 
 
-def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[WalkState]:
-    """Yield the state after each of steps 1..steps; the truncation must be safe.
-
-    Every check runs before the first state is yielded.  The support spreads
-    by at most two indices per step; the required dimension keeps it away
-    from the deficient last columns for every step.  Each step passes that
-    bound to ``cmv.apply_on_residues`` as its ``support`` promise, with the
-    residues mod ``PERIOD`` at which the state can be non-zero: taken once
-    from the initial state's non-zero indices, then carried from step to
-    step through the operator's residue table.  So a step reads only the
-    rows the walk can have reached and the band entries it can meet there,
-    with bit-identical results.
-    """
+def _steps(M: BandedUnitary, amplitudes: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """``trajectory`` over bare arrays.  Each step reads the array the last one
+    yielded, so an edit to it between steps carries forward."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    v = np.asarray(initial.amplitudes, dtype=complex)
+    v = np.asarray(amplitudes, dtype=complex)
     if v.shape != (M.dimension,):
         raise DimensionMismatch(
             f"state length {v.shape[0] if v.ndim == 1 else v.shape} "
@@ -165,17 +155,35 @@ def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[Wal
         )
     nonzero = np.nonzero(v)[0]
     high = int(nonzero[-1]) if nonzero.size else 0
-    if steps:
-        needed = 2 * steps + 8 if high <= 1 else high + 2 * steps + 3
-        if M.dimension < needed:
-            raise DimensionTooSmall(
-                f"{steps} steps from support <= {high} need dimension >= {needed}"
-            )
+    needed = (high | 1) + 2 * steps
+    if M.dimension < needed:
+        raise DimensionTooSmall(
+            f"{steps} steps from support <= {high} need dimension >= {needed}, "
+            f"have {M.dimension}"
+        )
     residues = sum(1 << t for t in set((nonzero % PERIOD).tolist()))
     for step in range(1, steps + 1):
         # Before this step the state is zero from index high + 2 * step - 1 on.
         v, residues = apply_on_residues(v, M, high + 2 * step - 1, residues)
-        yield WalkState(v)
+        yield v
+
+
+def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[WalkState]:
+    """The state after each of steps 1..steps; the truncation must be faithful.
+
+    Every check runs before the first state is produced.  In both builders'
+    operators a step moves amplitude up by at most two indices from an even
+    index and one from an odd index, so a state whose highest non-zero index
+    is ``high`` needs dimension ``(high | 1) + 2 * steps``, which is
+    ``2 * steps + 1`` from the origin.  At it every state is bit for bit a
+    larger truncation's prefix.  Each step passes that light cone to
+    ``cmv.apply_on_residues`` as its ``support`` promise, with the residues
+    mod ``PERIOD`` at which the state can be non-zero: taken from the initial
+    state's non-zero indices, then carried through the operator's residue
+    table.  So a step reads only the rows the walk can have reached and the
+    band entries it can meet there, with bit-identical results.
+    """
+    return map(WalkState, _steps(M, initial.amplitudes, steps))
 
 
 def evolve(M: BandedUnitary, initial: WalkState, steps: int) -> WalkState:
@@ -199,28 +207,17 @@ def position_distribution(state: WalkState) -> PositionDistribution:
 def first_return_numeric(M: BandedUnitary, max_n: int) -> np.ndarray:
     """First-return amplitudes for steps 1..max_n from the matrix alone.
 
-    The walk is killed at the origin: step from e0, read the amplitude that
-    came back to index 0, then remove it.  So the step-n amplitude is
-    a_n = <e0, M (Q M)^(n-1) e0>, where Q removes the origin (Grunbaum,
-    Velazquez, Werner and Werner, Commun. Math. Phys. 320, 2013).  Each
-    step reads only the light cone and the residues the state can occupy,
-    as ``trajectory`` does; the walk starts at residue 0.  Entry [n - 1] of
-    the result is the step-n amplitude.
+    The walk is killed at the origin: step from e0 in ``trajectory``'s loop,
+    read the amplitude that came back to index 0, then remove it.  So the
+    step-n amplitude is a_n = <e0, M (Q M)^(n-1) e0>, where Q removes the
+    origin (Grunbaum, Velazquez, Werner and Werner, Commun. Math. Phys. 320,
+    2013).  The dimension required is ``trajectory``'s from the origin,
+    2 * max_n + 1.  Entry [n - 1] of the result is the step-n amplitude.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    if M.dimension < 2 * max_n + 3:
-        raise DimensionTooSmall(
-            f"first returns through {max_n} need dimension >= {2 * max_n + 3}, "
-            f"have {M.dimension}"
-        )
-    v = np.zeros(M.dimension, dtype=complex)
-    v[0] = 1.0
     a = np.zeros(max_n, dtype=complex)
-    residues = 1
-    for n in range(max_n):
-        # Before this step the state is zero from index 2 * n + 1 on.
-        v, residues = apply_on_residues(v, M, 2 * n + 1, residues)
+    for n, v in enumerate(_steps(M, WalkState.origin_up(M.dimension).amplitudes, max_n)):
         a[n] = v[0]
         v[0] = 0
     return a

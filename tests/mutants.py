@@ -2,11 +2,13 @@
 
 Each entry names one edit to a file of the package (its ``old`` text, which
 occurs exactly once there, and the ``new`` text that replaces it) and the
-tests expected to fail under it.  Run the catalogue with
+tests expected to fail under it.  Run the catalogue, or only the mutants
+named, with
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
 
-For each mutant the runner copies ``src/`` and ``tests/`` to a fresh
+An unknown name exits with status 2 before any mutant runs.  For each
+mutant the runner copies ``src/`` and ``tests/`` to a fresh
 temporary directory, with ``pyproject.toml`` for the pytest settings and
 ``README.md`` for the pinned README commands, applies the edit there, runs
 the named tests with pytest under the ``mutants`` hypothesis profile (no
@@ -85,10 +87,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # The killed walk steps through trajectory's loop: from the origin
+        # this edit makes the support promise 2n before step n + 1.
         "first-return-support-2n",
         WALK,
-        "v, M, 2 * n + 1, residues)",
-        "v, M, 2 * n, residues)",
+        "high + 2 * step - 1, residues)",
+        "2 * step - 2, residues)",
         (
             "tests/test_walk.py::test_first_return_matches_numpy_scalar_renewal_bitwise",
             "tests/test_walk.py::test_first_return_riesz_values",
@@ -105,6 +109,43 @@ MUTANTS = (
             "tests/test_walk.py::test_first_return_matches_numpy_scalar_renewal_bitwise",
             "tests/test_walk.py::test_hadamard_first_returns_vanish_at_even_steps",
             "tests/test_cli.py::test_first_return_numeric_hadamard",
+        ),
+    ),
+    Mutant(
+        "light-cone-bound-one-short",
+        WALK,
+        "needed = (high | 1) + 2 * steps",
+        "needed = (high | 1) + 2 * steps - 1",
+        (
+            "tests/test_walk.py::test_trajectory_is_faithful_exactly_from_the_light_cone_bound",
+            "tests/test_walk.py::test_killed_walk_is_faithful_exactly_from_the_light_cone_bound",
+            "tests/test_walk.py::test_first_return_needs_dimension",
+            "tests/test_numeric_properties.py::test_evolve_guard_matches_scanning_rule",
+        ),
+    ),
+    Mutant(
+        # One short from an even highest index, exact from an odd one.
+        "light-cone-bound-parity-dropped",
+        WALK,
+        "needed = (high | 1) + 2 * steps",
+        "needed = high + 2 * steps",
+        (
+            "tests/test_walk.py::test_trajectory_is_faithful_exactly_from_the_light_cone_bound",
+            "tests/test_walk.py::test_killed_walk_is_faithful_exactly_from_the_light_cone_bound",
+            "tests/test_numeric_properties.py::test_evolve_guard_matches_scanning_rule",
+        ),
+    ),
+    Mutant(
+        # A sign fault in the Riesz coefficients past index 2000: beyond every
+        # other Riesz operator the suite steps (dimension 1608 at most), so
+        # only the exact moments through step 4000 see it.
+        "riesz-alpha-sign-wrong-past-2000",
+        WALK,
+        "[ansatz.alpha(j) for j in range(dim)]",
+        "[(-1) ** (j > 2000) * ansatz.alpha(j) for j in range(dim)]",
+        (
+            "tests/test_walk.py::"
+            "test_riesz_walk_origin_amplitudes_are_the_exact_moments_through_4000",
         ),
     ),
     Mutant(
@@ -228,7 +269,7 @@ MUTANTS = (
         "width = (bits + 7) // 8",
         "width = (bits - 1) // 8",
         # The Riesz entries stay well under the bound, so only the generic
-        # densities fill a slot.
+        # densities fill a slot; the property pins one that does.
         ("tests/test_schur.py::test_extract_agrees_with_stepping_on_positive_densities",),
     ),
     Mutant(
@@ -342,9 +383,14 @@ def run(mutant: Mutant) -> list[str]:
     ]
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
     survivors = []
-    for mutant in MUTANTS:
+    for mutant in [by_name[name] for name in names] if names else MUTANTS:
         start = time.perf_counter()
         try:
             passed = run(mutant)
@@ -365,4 +411,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

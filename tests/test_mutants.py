@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import MUTANTS, ROOT, main
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -25,3 +25,8 @@ def test_mutant_names_existing_tests(mutant):
         path, name = node.split("::")
         source = (ROOT / path).read_text()
         assert re.search(rf"^def {re.escape(name)}\(", source, re.M), node
+
+
+def test_unknown_mutant_name_exits_2(capsys):
+    assert main(["no-such-mutant"]) == 2
+    assert "no-such-mutant" in capsys.readouterr().err

@@ -193,25 +193,42 @@ def test_coined_first_return_is_the_killed_walk(coins, dim, data):
     killed_walk_checks(m, data.draw(st.integers(0, (dim - 3) // 2)))
 
 
-def scanning_rule_raises(dim: int, v: np.ndarray, steps: int) -> bool:
-    """The dimension rule of evolve, applied by a scan over the whole state."""
-    if not steps:
-        return False
-    support = np.nonzero(v)[0]
-    high = int(support[-1]) if support.size else 0
-    needed = 2 * steps + 8 if high <= 1 else high + 2 * steps + 3
-    return dim < needed
+def faithful(M: BandedUnitary, start: np.ndarray, wide_states: list[np.ndarray]) -> bool:
+    """Whether stepping ``start`` by ``M`` over the full dimension, with no
+    guard, gives each of ``wide_states`` bit for bit up to M's dimension, and
+    the wider states are zero beyond it."""
+    v, dim = start, M.dimension
+    for want in wide_states:
+        v = apply_full_length(v, M)
+        if v.tobytes() != want[:dim].tobytes() or np.any(want[dim:]):
+            return False
+    return True
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.integers(2, 60), st.integers(0, 30), st.data())
-def test_evolve_guard_matches_scanning_rule(dim, steps, data):
-    support = data.draw(st.sets(st.integers(0, dim - 1), max_size=4))
-    v = np.zeros(dim, dtype=complex)
-    v[list(support)] = 1.0
-    try:
-        evolve(build_cmv([0.0] * dim, dim), WalkState(v), steps)
-        raised = False
-    except DimensionTooSmall:
-        raised = True
-    assert raised == scanning_rule_raises(dim, v, steps)
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 20), st.sets(st.integers(0, 40), min_size=1, max_size=4), st.data())
+def test_evolve_guard_matches_scanning_rule(steps, support, data):
+    # At every dimension that holds the state, the guard raises exactly when
+    # the truncation is not faithful to a run with room to spare.  The
+    # support grows by at most two indices a step, so high + 2 * steps + 2
+    # has room.  A zero state is faithful at every dimension and is guarded
+    # as the origin, so the support is never empty.  Moduli bounded away
+    # from 0 and 1 leave no move of the walk with a zero amplitude.
+    high = max(support)
+    wide_dim = high + 2 * steps + 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    radii = rng.uniform(0.1, 0.9, wide_dim)
+    alphas = (radii * np.exp(2j * np.pi * rng.random(wide_dim))).tolist()
+    start = np.zeros(wide_dim, dtype=complex)
+    start[list(support)] = 1.0
+    wide, wide_states = build_cmv(alphas, wide_dim), [start]
+    for _ in range(steps):
+        wide_states.append(apply_full_length(wide_states[-1], wide))
+    for dim in range(max(high + 1, 2), wide_dim + 1):
+        M = build_cmv(alphas, dim)
+        try:
+            evolve(M, WalkState(start[:dim]), steps)
+            raised = False
+        except DimensionTooSmall:
+            raised = True
+        assert raised == (not faithful(M, start[:dim], wide_states[1:])), dim

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expected_values import (
     CARATHEODORY_F,
@@ -185,6 +185,8 @@ def positive_trigonometric_measures(draw):
 
 @settings(deadline=None, max_examples=15)
 @given(positive_trigonometric_measures(), st.sampled_from((1, 3, 16)))
+# A density whose second product needs the top byte of its slots.
+@example(TruncatedSeries([1, 0, F(6, 46), F(2, 46), F(9, 46)], 41), 16)
 def test_extract_agrees_with_stepping_on_positive_densities(G, block):
     # The stepper cannot afford two blocks of the real size on these
     # densities, so the blocks shrink: 40 steps in blocks of 16 are two full
@@ -195,6 +197,15 @@ def test_extract_agrees_with_stepping_on_positive_densities(G, block):
         fast = extract_verblunsky(G, 40)
     assert tuple(fast) == slow
     assert all(abs(a) < 1 for a in fast)
+
+
+def test_pack_round_trips_at_the_slot_extremes():
+    for width in range(1, 17):
+        top = (1 << (8 * width - 1)) - 1
+        values = [top, -top, 0, -top, -1, top, 1]
+        packed = schur._pack(values, width)
+        assert schur._unpack(packed, width, len(values), 0, len(values)) == values
+        assert schur._unpack(packed, width, len(values), 2, 5) == values[2:5]
 
 
 def test_extract_rejects_finite_support_past_a_content_strip():

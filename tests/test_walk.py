@@ -15,7 +15,7 @@ from oracles import (
     traditional_walk_test,
 )
 from rieszwalk.cmv import DimensionMismatch, DimensionTooSmall, build_cmv, unitarity_defect
-from rieszwalk.riesz import MeasureVariant, caratheodory_series
+from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.walk import (
     HADAMARD_COIN,
     CoinMatrix,
@@ -314,7 +314,7 @@ def test_hadamard_main_diagonal_span_is_the_origin():
 def test_trajectory_checks_before_first_state():
     # The first next() raises: no state comes before the check.
     with pytest.raises(DimensionTooSmall):
-        next(trajectory(riesz_walk_matrix(16), WalkState.origin_up(16), 5))
+        next(trajectory(riesz_walk_matrix(16), WalkState.origin_up(16), 8))
     with pytest.raises(ValueError, match="steps must be >= 0"):
         next(trajectory(riesz_walk_matrix(16), WalkState.origin_up(16), -1))
     assert list(trajectory(riesz_walk_matrix(16), WalkState.origin_up(16), 0)) == []
@@ -323,18 +323,61 @@ def test_trajectory_checks_before_first_state():
 def test_evolve_dim_guard():
     m = riesz_walk_matrix(16)
     with pytest.raises(DimensionTooSmall):
-        evolve(m, WalkState.origin_up(16), 5)
+        evolve(m, WalkState.origin_up(16), 8)
     with pytest.raises(DimensionMismatch):
         evolve(m, WalkState.origin_up(8), 1)
-    # A state whose highest non-zero index is high > 1 needs exactly
-    # high + 2 * steps + 3; one below raises.
-    for high, steps in [(2, 1), (5, 3), (9, 4), (20, 1)]:
-        dim = high + 2 * steps + 3
-        v = np.zeros(dim, dtype=complex)
-        v[high] = 1.0
-        evolve(riesz_walk_matrix(dim), WalkState(v), steps)
-        with pytest.raises(DimensionTooSmall):
-            evolve(riesz_walk_matrix(dim - 1), WalkState(v[:-1]), steps)
+
+
+def light_cone_operator(walk: str, dim: int):
+    """The Riesz, Hadamard-coined or a random complex CMV operator at ``dim``."""
+    if walk == "riesz":
+        return riesz_walk_matrix(dim)
+    if walk == "hadamard":
+        return coined_walk_matrix(HADAMARD_COIN, max(dim, 4))  # the builder's floor
+    rng = np.random.default_rng(8)
+    alphas = rng.uniform(-0.5, 0.5, 200) + 1j * rng.uniform(-0.5, 0.5, 200)
+    return build_cmv(alphas.tolist(), dim)
+
+
+@pytest.mark.parametrize("walk", ["riesz", "hadamard", "complex"])
+def test_trajectory_is_faithful_exactly_from_the_light_cone_bound(walk):
+    # From a state whose highest non-zero index is high, (high | 1) + 2 * steps
+    # is the smallest faithful dimension: there every state is the prefix of
+    # the dimension-200 run bit for bit, with zeros beyond; one below, the
+    # first next() raises.
+    rng = np.random.default_rng(9)
+    wide = light_cone_operator(walk, 200)
+    for high in range(12):
+        start = np.zeros(200, dtype=complex)
+        start[: high + 1] = rng.normal(size=high + 1) + 1j * rng.normal(size=high + 1)
+        wide_states = [start]
+        for _ in range(20):
+            wide_states.append(apply_full_length(wide_states[-1], wide))
+        for steps in range(1, 21):
+            dim = (high | 1) + 2 * steps
+            m = light_cone_operator(walk, dim)
+            states = trajectory(m, WalkState(start[: m.dimension]), steps)
+            for state, want in zip(states, wide_states[1 : steps + 1], strict=True):
+                assert state.amplitudes.tobytes() == want[: m.dimension].tobytes()
+                assert not np.any(want[m.dimension :]), (high, steps)
+            if m.dimension == dim:
+                m = light_cone_operator(walk, dim - 1)
+                with pytest.raises(DimensionTooSmall):
+                    next(trajectory(m, WalkState(start[: dim - 1]), steps))
+
+
+@pytest.mark.parametrize("walk", ["riesz", "hadamard", "complex"])
+def test_killed_walk_is_faithful_exactly_from_the_light_cone_bound(walk):
+    # The killed walk starts at the origin: 2 * max_n + 1 gives the
+    # dimension-200 amplitudes bit for bit, and one below raises.
+    wide = first_return_full_length(light_cone_operator(walk, 200), 20)
+    for max_n in range(1, 21):
+        dim = 2 * max_n + 1
+        m = light_cone_operator(walk, dim)
+        assert first_return_numeric(m, max_n).tobytes() == wide[:max_n].tobytes()
+        if m.dimension == dim:
+            with pytest.raises(DimensionTooSmall):
+                first_return_numeric(light_cone_operator(walk, dim - 1), max_n)
 
 
 def test_evolution_norm_and_support():
@@ -367,6 +410,17 @@ def test_point_mass_distribution():
     assert np.all(dist.probabilities[1:] == 0)
 
 
+def test_riesz_walk_origin_amplitudes_are_the_exact_moments_through_4000():
+    # From e0 the state after n steps is e0^T M^n, so its origin amplitude is
+    # MU's n-th moment (Cantero, Moral and Velazquez 2003), over the README's
+    # walk of 4000 steps at its CLI dimension.  Measured worst gap: 1.1e-15.
+    steps = 4000
+    dim = 2 * steps + 8
+    states = trajectory(riesz_walk_matrix(dim), WalkState.origin_up(dim), steps)
+    for n, state in enumerate(states, 1):
+        assert abs(state.amplitudes[0] - float(moment(n, MeasureVariant.MU))) <= 1e-13, n
+
+
 # -- first-return amplitudes --------------------------------------------------------
 
 
@@ -397,9 +451,10 @@ def test_first_return_matches_numpy_scalar_renewal_bitwise(coin):
 
 
 def test_first_return_needs_dimension():
-    # Steps 1..max_n need exactly 2 * max_n + 3; one below raises.
-    for max_n in (0, 1, 10):
-        dim = 2 * max_n + 3
+    # Steps 1..max_n need exactly 2 * max_n + 1; one below raises.
+    assert first_return_numeric(riesz_walk_matrix(2), 0).shape == (0,)
+    for max_n in (1, 10):
+        dim = 2 * max_n + 1
         assert first_return_numeric(riesz_walk_matrix(dim), max_n).shape == (max_n,)
         with pytest.raises(DimensionTooSmall):
             first_return_numeric(riesz_walk_matrix(dim - 1), max_n)
