@@ -10,27 +10,21 @@ slots between consecutive anchors, is a test-side oracle in
 
 The anchor integers (the "backbone") come from a weighted count over the
 arithmetic progressions { ((-2)^j - 1)/3 + k 2^(j+1) : k integer }, j >= 0,
-which partition the integers.  All arithmetic in this module is exact.
+which partition the integers.  Progression j is the level set v2(3t + 1) = j
+of the 2-adic valuation, since t = ((-2)^j - 1)/3 + k 2^(j+1) gives
+3t + 1 = 2^j ((-1)^j + 6k) with an odd second factor.  So the count is a
+running sum: each t >= 1 adds weight(4 + v2(3t + 1)).  All arithmetic in
+this module is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 
 class IndexOutOfRange(ValueError):
     """Sequence evaluated before its first defined index."""
-
-
-def first_positive(j: int) -> int:
-    """First positive member of the j-th progression."""
-    if j < 0:
-        raise IndexOutOfRange("progressions start at j = 0")
-    if j == 0:
-        return 2
-    return ((-2) ** j - 1) // 3 + (1 - (-1) ** j) * 2**j
 
 
 def weight(n: int) -> int:
@@ -40,35 +34,19 @@ def weight(n: int) -> int:
     return 8 + (((-2) ** (n - 4) - 1) // 3) * 32
 
 
-def count_up_to(j: int, n: int) -> int:
-    """Number of members of the j-th progression in [1, n]."""
-    gap = 2 ** (j + 1)
-    return (n + gap - first_positive(j)) // gap
+# _BACKBONE[i - 1] is backbone(i); backbone grows it to the largest index asked.
+_BACKBONE = [13]
 
 
-def weighted_count(n: int) -> int:
-    """Sum over progressions of (members in [1, n]) * weight(4 + j).
-
-    Progression j contributes only while its first positive member is <= n.
-    Since first_positive(j) >= (2^j - 1)/3 for every j, all terms with
-    2^j > 3n + 1 vanish, which bounds the loop.
-    """
-    total = 0
-    j = 0
-    while 2**j <= 3 * n + 1:
-        c = count_up_to(j, n)
-        if c:
-            total += c * weight(4 + j)
-        j += 1
-    return total
-
-
-@lru_cache(maxsize=None)
 def backbone(i: int) -> int:
-    """The i-th anchor integer, 13 + weighted_count(i - 1), for i >= 1."""
+    """The i-th anchor integer, 13 + sum of weight(4 + v2(3t + 1)) over 1 <= t < i."""
     if i < 1:
         raise IndexOutOfRange("backbone starts at i = 1")
-    return 13 + weighted_count(i - 1)
+    table = _BACKBONE
+    for t in range(len(table), i):
+        x = 3 * t + 1
+        table.append(table[-1] + weight(4 + (x & -x).bit_length() - 1))
+    return table[i - 1]
 
 
 def backbone_constant(i: int) -> int:

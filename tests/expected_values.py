@@ -41,5 +41,6 @@ SCHUR_F = {
     19: F(-1, 32), 23: F(-5, 64), 27: F(-17, 128), 31: F(-29, 256),
 }
 
-# Progression tallies at n = 40: count_up_to(j, 40) for j = 0..6, zero after.
+# Progression tallies at n = 40: members of progression j in [1, 40] for
+# j = 0..6, zero after.
 COUNTS_AT_40 = [20, 10, 5, 2, 2, 0, 1]

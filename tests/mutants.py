@@ -240,10 +240,14 @@ MUTANTS = (
     ),
     Mutant(
         # B's update reads A's entries where B's belong and the reverse.
+        # Not by swapping the loop names (d rev(A) - n B): on the pinned
+        # density at block 16 that fault keeps every parameter in the disk
+        # while the denominators grow to 800 000 bits, and its kill takes a
+        # minute; this edit fails each test below within a second.
         "schur-transfer-update-swaps-roles",
         SCHUR,
         "[d * b - n * a for b, a in zip(B, reversed(A))]",
-        "[d * b - n * a for a, b in zip(B, reversed(A))]",
+        "[d * b - n * a for b, a in zip(A, reversed(B))]",
         (
             "tests/test_schur.py::test_extract_agrees_with_stepping",
             "tests/test_schur.py::test_extract_agrees_with_stepping_on_positive_densities",
@@ -330,6 +334,28 @@ MUTANTS = (
             "tests/test_riesz.py::test_digits_match_brute_force",
             "tests/test_riesz.py::test_moment_variant_consistency",
             "tests/test_exact_properties.py::test_mu_moment_is_the_nu_moment_at_a_quarter_of_the_index",
+        ),
+    ),
+    Mutant(
+        # v2 one too high: every t adds the next progression's weight.
+        "backbone-valuation-off-by-one",
+        ANSATZ,
+        "(x & -x).bit_length() - 1",
+        "(x & -x).bit_length()",
+        (
+            "tests/test_ansatz.py::test_backbone_is_the_running_weighted_count",
+            "tests/test_acceptance.py::test_criterion_04_backbone_fidelity",
+        ),
+    ),
+    Mutant(
+        # Steps over the level sets of v2(3t - 1), the progressions of -t.
+        "backbone-steps-from-3t-minus-1",
+        ANSATZ,
+        "x = 3 * t + 1",
+        "x = 3 * t - 1",
+        (
+            "tests/test_ansatz.py::test_backbone_is_the_running_weighted_count",
+            "tests/test_acceptance.py::test_criterion_04_backbone_fidelity",
         ),
     ),
     Mutant(

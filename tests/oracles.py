@@ -3,6 +3,9 @@
 None of these run in the ``rieszwalk`` command or the benchmark; each one
 exists to check a production route by a second, unrelated one:
 
+* ``progression_contains``: membership in the paper's j-th arithmetic
+  progression, from its definition, against the 2-adic valuation that
+  ``ansatz.backbone`` sums over;
 * ``alpha_from_offsets``: the paper's anchor-plus-offset recipe for the
   non-zero Verblunsky parameters, against ``ansatz.alpha``;
 * ``traditional_walk_test``: the paper's ``F(-z) F(z) = 1`` test for walks
@@ -149,6 +152,14 @@ def substitute_quartic(a: TruncatedSeries) -> TruncatedSeries:
     for k, c in enumerate(a.coefficients):
         out[4 * k] = c
     return TruncatedSeries(out, order)
+
+
+# -- the backbone's progressions --------------------------------------------------
+
+
+def progression_contains(j: int, t: int) -> bool:
+    """Membership in the j-th progression: t = ((-2)^j - 1)/3 + k 2^(j+1)."""
+    return (t - ((-2) ** j - 1) // 3) % 2 ** (j + 1) == 0
 
 
 # -- the offset recipe ------------------------------------------------------------

@@ -1,28 +1,30 @@
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 
 from expected_values import BACKBONE_17, COUNTS_AT_40, NONZERO_PARAMS_36
-from oracles import OutOfDomain, alpha_from_offsets
+from oracles import OutOfDomain, alpha_from_offsets, progression_contains
 from rieszwalk.ansatz import (
     IndexOutOfRange,
     alpha,
     backbone,
     backbone_constant,
-    count_up_to,
     decompose_index,
-    first_positive,
     limit_values,
     nonzero_alpha,
     verify_ansatz,
     weight,
-    weighted_count,
 )
 
 
-def progression_contains(j: int, t: int) -> bool:
-    """Membership in the j-th progression: t = ((-2)^j - 1)/3 + k 2^(j+1)."""
-    return (t - ((-2) ** j - 1) // 3) % 2 ** (j + 1) == 0
+def valuation(x: int) -> int:
+    """2-adic valuation of x != 0, by repeated halving."""
+    j = 0
+    while x % 2 == 0:
+        x //= 2
+        j += 1
+    return j
 
 
 # -- progressions and counts -------------------------------------------------
@@ -30,13 +32,20 @@ def progression_contains(j: int, t: int) -> bool:
 
 @pytest.mark.parametrize("j,expected", [(0, 2), (1, 3), (2, 1), (3, 13), (4, 5), (5, 53), (6, 21)])
 def test_first_positive_examples(j, expected):
-    assert first_positive(j) == expected
+    assert progression_contains(j, expected)
+    assert not any(progression_contains(j, t) for t in range(1, expected))
+    assert valuation(3 * expected + 1) == j
 
 
 def test_first_positive_matches_enumeration():
-    for j in range(21):
-        d = first_positive(j)
-        assert d >= 1 and progression_contains(j, d)
+    # The least t >= 1 with v2(3t + 1) = j is the first positive member of
+    # progression j; every one through j = 16 lies below 2^17.
+    first = {}
+    for t in range(1, 2**17):
+        first.setdefault(valuation(3 * t + 1), t)
+    for j in range(17):
+        d = first[j]
+        assert progression_contains(j, d)
         assert not any(progression_contains(j, t) for t in range(1, d))
 
 
@@ -58,20 +67,17 @@ def test_weight_before_start():
 
 
 def test_counts_at_40():
-    assert [count_up_to(j, 40) for j in range(7)] == COUNTS_AT_40
-    assert all(count_up_to(j, 40) == 0 for j in range(7, 30))
+    # The printed tallies are the level sets of v2(3t + 1) over [1, 40].
+    counts = [sum(valuation(3 * t + 1) == j for t in range(1, 41)) for j in range(30)]
+    assert counts[:7] == COUNTS_AT_40
+    assert not any(counts[7:])
 
 
-def test_counts_match_enumeration():
-    for j in range(11):
-        for n in (0, 1, 7, 40, 313, 1000):
-            direct = sum(1 for t in range(1, n + 1) if progression_contains(j, t))
-            assert count_up_to(j, n) == direct
-
-
-def test_counts_partition_identity():
-    for n in range(0, 2001, 37):
-        assert sum(count_up_to(j, n) for j in range(40)) == n
+def test_valuation_level_sets_are_the_progressions():
+    # t in progression j gives 3t + 1 = 2^j ((-1)^j + 6k), an odd second factor.
+    for t in range(1, 10_001):
+        homes = [j for j in range(31) if progression_contains(j, t)]
+        assert homes == [valuation(3 * t + 1)], t
 
 
 def test_progressions_partition_integers():
@@ -84,9 +90,18 @@ def test_progressions_partition_integers():
 
 
 def test_weighted_count_examples():
-    assert weighted_count(0) == 0
-    assert weighted_count(1) == 40
-    assert weighted_count(3) == 24
+    # backbone(n + 1) - 13 is the weighted count over [1, n].
+    assert backbone(1) - 13 == 0
+    assert backbone(2) - 13 == 40
+    assert backbone(4) - 13 == 24
+
+
+def test_backbone_is_the_running_weighted_count():
+    # The paper's definition, each t's progression found by membership alone.
+    total = 13
+    for i in range(1, 20_001):
+        assert backbone(i) == total, i
+        total += weight(4 + next(j for j in count() if progression_contains(j, i)))
 
 
 def test_backbone_list():

@@ -1,8 +1,8 @@
 """The mutant catalogue in ``mutants.py`` still applies to the package.
 
 Running the catalogue is not part of this suite (``python tests/mutants.py``
-takes about a minute); these checks only keep it from rotting: each edit's
-old text occurs exactly once in its file, and each named test exists.
+takes about 80 s on two cores); these checks only keep it from rotting: each
+edit's old text occurs exactly once in its file, and each named test exists.
 """
 
 import re
