@@ -45,11 +45,6 @@ def _csv_cell(value, use_float: bool) -> str:
         return repr(float(value)) if use_float else str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        # float() drops a numpy scalar type, whose repr is not a number.
-        return repr(float(value))
-    if isinstance(value, complex):
-        return repr(value)
     return str(value)
 
 
@@ -285,7 +280,7 @@ def cmd_first_return(args) -> int:
         numeric = walk.first_return_numeric(matrix, max_n)
     if args.method == "numeric":
         amplitudes = [z.real if z.imag == 0 else z for z in map(complex, numeric)]
-        cumulative = accumulate(abs(a) ** 2 for a in numeric)
+        cumulative = accumulate(abs(a) ** 2 for a in numeric.tolist())
     columns = ["n", "amplitude", "cumulative_probability"]
     table = [range(1, max_n + 1), amplitudes, cumulative]
     worst = 0.0

@@ -1,11 +1,15 @@
 """Schur algorithm with exact precision accounting.
 
-Converts a Caratheodory series F into its Schur function f, extracts
-Verblunsky parameters one per step, and exposes the first-return amplitude
-series.  ``renewal_first_return`` computes the same amplitudes from the
-moments alone, without the Schur formula or the n-1 offset but with the
-same series division; the CLI never calls it, and the tests, those of the
-benchmark's output checks included, use it as an oracle.
+Writes the Schur function f = (F - 1) / (z (F + 1)) of a Caratheodory
+series F once, as an integer numerator/denominator pair
+(``_fraction_free_start``).  ``extract_verblunsky`` steps that pair, one
+Verblunsky parameter per step; ``schur_from_caratheodory`` divides it into
+the series f, whose Taylor coefficients are the first-return amplitudes
+(``first_return_series``).  ``renewal_first_return`` computes the same
+amplitudes from the moments alone, without the Schur formula or the n-1
+offset but with the same series division; the CLI never calls it, and the
+tests, those of the benchmark's output checks included, use it as an
+oracle.
 
 The engine works over real rational data (conjugation is the identity);
 complex coins are handled numerically elsewhere.  Each Schur step consumes
@@ -36,11 +40,7 @@ class ParameterOutOfDisk(ValueError):
 
 
 class PrecisionExhausted(ValueError):
-    """The iterate has no trustworthy orders left for another step."""
-
-
-class InsufficientPrecision(ValueError):
-    """More series orders were requested than the input can vouch for."""
+    """More series orders are needed than the input can vouch for."""
 
 
 class FirstReturnSeries:
@@ -69,24 +69,34 @@ class FirstReturnSeries:
         raise AttributeError(f"cannot delete {name!r}: FirstReturnSeries is immutable")
 
 
-def schur_from_caratheodory(F: TruncatedSeries) -> TruncatedSeries:
-    """Schur function f = (F - 1) / (z (F + 1)); valid order drops by one."""
-    if F.valid_order < 0 or F.coefficient(0) != 1:
-        raise ValueError("Caratheodory series must have constant term 1")
-    return F.add_constant(-1).shift_down() / F.add_constant(1)
-
-
 def _fraction_free_start(F: TruncatedSeries, length: int) -> tuple[list[int], list[int]]:
     """Integer numerator/denominator polynomials of f through ``length`` orders.
 
     f = (F - 1) / (z (F + 1)), so p holds F_1..F_length and q holds
     F_0 + 1, F_1..F_(length-1), both scaled by one common denominator.
+    F_0 must be 1, or f is not a Schur function.
     """
+    if F.valid_order < 0 or F.coefficient(0) != 1:
+        raise ValueError("Caratheodory series must have constant term 1")
     coefficients = [F.coefficient(k) for k in range(length + 1)]
     coefficients[0] += 1
     scale = math.lcm(*(c.denominator for c in coefficients))
     scaled = [c.numerator * (scale // c.denominator) for c in coefficients]
     return scaled[1:], scaled[:-1]
+
+
+def schur_from_caratheodory(F: TruncatedSeries) -> TruncatedSeries:
+    """Schur function f = (F - 1) / (z (F + 1)); valid order drops by one.
+
+    One series division of ``_fraction_free_start``'s integer pair, the
+    start of ``extract_verblunsky`` too.  With only F_0 trusted, no order
+    of f is, and the result is the empty series.
+    """
+    n = F.valid_order
+    p, q = _fraction_free_start(F, n)
+    if n == 0:
+        return TruncatedSeries([], -1)
+    return TruncatedSeries(p, n - 1) / TruncatedSeries(q, n - 1)
 
 
 # extract_verblunsky divides the integer content out of its polynomials once
@@ -173,8 +183,6 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
         raise PrecisionExhausted(
             f"need valid_order >= {count + 1}, have {F.valid_order}"
         )
-    if F.coefficient(0) != 1:
-        raise ValueError("Caratheodory series must have constant term 1")
     # Step k reads p[0] and q[0] after k index drops: count orders suffice.
     p, q = _fraction_free_start(F, count)
     out: list[Fraction] = []
@@ -226,7 +234,7 @@ def first_return_series(f: TruncatedSeries, max_n: int) -> FirstReturnSeries:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if max_n - 1 > f.valid_order:
-        raise InsufficientPrecision(
+        raise PrecisionExhausted(
             f"step {max_n} needs order {max_n - 1}, valid through {f.valid_order}"
         )
     return FirstReturnSeries(tuple(f.coefficient(n - 1) for n in range(1, max_n + 1)))

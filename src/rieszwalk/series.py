@@ -2,8 +2,8 @@
 
 Every series carries an explicit ``valid_order``: the highest order whose
 coefficient is trustworthy.  Operations never read a coefficient beyond the
-valid order of their inputs, and each operation's output valid order follows
-a fixed rule (min for quotients, minus one for the downward shift).
+valid order of their inputs, and the ledger has one rule: a quotient is
+trusted through the lower of its inputs' valid orders.
 This explicit ledger exists because the Verblunsky extraction loop loses
 exactly one trustworthy order per step, and silently reading past the valid
 order is the main correctness hazard of the whole computation.
@@ -22,10 +22,6 @@ CoefficientLike = Union[Fraction, int]
 
 class ZeroConstantTerm(ValueError):
     """Division by a series whose constant term is zero or untrusted."""
-
-
-class NonzeroConstantTerm(ValueError):
-    """Downward shift requested for a series whose constant term is not zero."""
 
 
 def _nonzero_terms(coeffs: Sequence[Fraction]) -> list[tuple[int, int, int]]:
@@ -128,23 +124,3 @@ class TruncatedSeries:
             nums.append(c.numerator)
             dens.append(c.denominator)
         return TruncatedSeries(out, order)
-
-    def add_constant(self, value: CoefficientLike) -> "TruncatedSeries":
-        if self.valid_order < 0:
-            return self
-        v = Fraction(value)
-        coeffs = list(self._coeffs)
-        coeffs[0] += v
-        return TruncatedSeries(coeffs, self.valid_order)
-
-    # -- structural operations ----------------------------------------------
-
-    def shift_down(self) -> "TruncatedSeries":
-        """Divide by z; costs exactly one trustworthy order."""
-        if self.valid_order < 0:
-            raise NonzeroConstantTerm("series has no trustworthy constant term")
-        if self._coeffs[0]:
-            raise NonzeroConstantTerm(
-                f"constant term {self._coeffs[0]} != 0, cannot divide by z"
-            )
-        return TruncatedSeries(self._coeffs[1:], self.valid_order - 1)

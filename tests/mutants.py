@@ -50,6 +50,7 @@ CLI = "src/rieszwalk/cli.py"
 SCHUR = "src/rieszwalk/schur.py"
 ANSATZ = "src/rieszwalk/ansatz.py"
 RIESZ = "src/rieszwalk/riesz.py"
+SERIES = "src/rieszwalk/series.py"
 
 MUTANTS = (
     Mutant(
@@ -285,6 +286,32 @@ MUTANTS = (
             "tests/test_schur.py::test_renewal_agrees_with_schur_route",
             "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
             "tests/test_acceptance.py::test_criterion_07_first_return_oracle_triangle",
+        ),
+    ),
+    Mutant(
+        # The quotient's order-n coefficient loses its b_n h_0 term.
+        "series-division-drops-last-term",
+        SERIES,
+        "        if i > n:\n",
+        "        if i >= n:\n",
+        (
+            "tests/test_series.py::test_reciprocal_geometric",
+            "tests/test_series.py::test_kernel_matches_oracle_on_riesz_series",
+            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
+            "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
+        ),
+    ),
+    Mutant(
+        # p and q trade places, so both routes work on 1/f.
+        "schur-start-numerator-denominator-swapped",
+        SCHUR,
+        "return scaled[1:], scaled[:-1]",
+        "return scaled[:-1], scaled[1:]",
+        (
+            "tests/test_schur.py::test_schur_function_matches_known_expansion",
+            "tests/test_schur.py::test_extract_first_twelve",
+            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
+            "tests/test_cli.py::test_first_return_exact",
         ),
     ),
     Mutant(

@@ -11,13 +11,12 @@ from expected_values import (
     NONZERO_PARAMS_36,
     SCHUR_F,
 )
-from oracles import scale, substitute_quartic
+from oracles import add, scale, substitute_quartic
 from rieszwalk import schur
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import (
     _BLOCK,
     FirstReturnSeries,
-    InsufficientPrecision,
     ParameterOutOfDisk,
     PrecisionExhausted,
     cumulative_return_probability,
@@ -57,9 +56,10 @@ def schur_step(state: SchurState) -> SchurState:
     alpha = f.coefficient(0)
     if abs(alpha) >= 1:
         raise ParameterOutOfDisk(f"|alpha_{state.step}| = |{alpha}| >= 1")
-    numerator = f.add_constant(-alpha)
-    denominator = scale(f, -alpha).add_constant(1)
-    nxt = numerator.shift_down() / denominator
+    # (f - alpha) / z drops f's constant term, and with it one order.
+    numerator = TruncatedSeries(f.coefficients[1:], f.valid_order - 1)
+    denominator = add(TruncatedSeries([1], f.valid_order), scale(f, -alpha))
+    nxt = numerator / denominator
     return SchurState(nxt, state.step + 1, state.extracted + (alpha,))
 
 
@@ -106,8 +106,21 @@ def test_schur_of_point_mass_is_unimodular_constant():
 
 
 def test_schur_requires_unit_constant():
-    with pytest.raises(ValueError):
-        schur_from_caratheodory(TruncatedSeries([2, 1], 5))
+    # Both routes share one check and its message.  -1 makes F + 1 vanish at
+    # 0, so a division would fail first, with its own error.
+    message = "^Caratheodory series must have constant term 1$"
+    for constant in (2, 0, -1, F(1, 2)):
+        with pytest.raises(ValueError, match=message):
+            schur_from_caratheodory(TruncatedSeries([constant, 1], 5))
+        with pytest.raises(ValueError, match=message):
+            extract_verblunsky(TruncatedSeries([constant, 1], 5), 3)
+    with pytest.raises(ValueError, match=message):
+        schur_from_caratheodory(TruncatedSeries([], -1))
+
+
+def test_schur_of_constant_term_alone_is_empty():
+    # f's order k reads F's order k + 1, so no order of f is trusted.
+    assert schur_from_caratheodory(TruncatedSeries([1], 0)) == TruncatedSeries([], -1)
 
 
 def test_first_step_dense_variant():
@@ -289,7 +302,7 @@ def test_first_return_values():
 
 def test_first_return_needs_orders():
     f = riesz_schur_function(10)
-    with pytest.raises(InsufficientPrecision):
+    with pytest.raises(PrecisionExhausted):
         first_return_series(f, 12)
     assert len(first_return_series(f, 0).amplitudes) == 0
 
