@@ -2,11 +2,10 @@
 
 The non-zero parameters sit at indices 3, 7, 11, ... (every fourth index).
 They come from a total closed form driven by the unique decomposition of the
-parameter counter m as (1 + (3n-1) 4^p) / 3 with n not congruent to 3 mod 4;
-``verify_ansatz`` checks it against the Schur algorithm.  The paper's second
-recipe, which places -1/A_p at every 32nd index and fills the seven non-zero
-slots between consecutive anchors, is a test-side oracle in
-``tests/oracles.py``.
+parameter counter m as (1 + (3n-1) 4^p) / 3 with n not congruent to 3 mod 4.
+The paper's second recipe, which places -1/A_p at every 32nd index and fills
+the seven non-zero slots between consecutive anchors, is a test-side oracle
+in ``tests/oracles.py``.
 
 The anchor integers (the "backbone") come from a weighted count over the
 arithmetic progressions { ((-2)^j - 1)/3 + k 2^(j+1) : k integer }, j >= 0,
@@ -20,7 +19,6 @@ this module is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 
 class IndexOutOfRange(ValueError):
@@ -60,19 +58,12 @@ def backbone_constant(i: int) -> int:
     return 3 * (backbone(i // 2) - 4)
 
 
-class IndexDecomposition(NamedTuple):
-    """Unique writing of m >= 1 as (1 + (3n - 1) 4^p) / 3.
+def decompose_index(m: int) -> tuple[int, int]:
+    """Unique writing of m >= 1 as (1 + (3n - 1) 4^p) / 3, returned as (n, p).
 
     n >= 1 is never congruent to 3 mod 4 and p >= 0; the map m -> (n, p) is
     a bijection onto that range.
     """
-
-    m: int
-    n: int
-    p: int
-
-
-def decompose_index(m: int) -> IndexDecomposition:
     if m < 1:
         raise IndexOutOfRange("decomposition defined for m >= 1")
     t = 3 * m - 1
@@ -80,14 +71,14 @@ def decompose_index(m: int) -> IndexDecomposition:
     while t % 4 == 0:
         t //= 4
         p += 1
-    return IndexDecomposition(m, (t + 1) // 3, p)
+    return (t + 1) // 3, p
 
 
 def nonzero_alpha(m: int) -> Fraction:
     """The m-th non-zero Verblunsky parameter, m = 1, 2, 3, ..."""
-    d = decompose_index(m)
-    s, r = divmod(d.n, 4)
-    four_p = 4**d.p
+    n, p = decompose_index(m)
+    s, r = divmod(n, 4)
+    four_p = 4**p
     if r == 0:
         return Fraction(-(2 * four_p + 1), backbone_constant(s) * four_p)
     if r == 1:
@@ -106,63 +97,17 @@ def alpha(j: int) -> Fraction:
     return nonzero_alpha((j + 1) // 4)
 
 
-class LimitFamilies(NamedTuple):
-    """The three families whose closures carry every limit point.
+def limit_values(count: int) -> tuple[tuple[Fraction, ...], ...]:
+    """First ``count`` members of the three limit-value families, exact.
 
-    With c(i) = backbone_constant(i): family1 holds -2/c(i) for i >= 1,
-    family2 holds 4/(c(i) + 3) and family3 holds -2/(c(i) + 6), both from i = 0.
+    The families' closures carry every limit point.  With c(i) =
+    backbone_constant(i), family 1 holds -2/c(i) for i >= 1, family 2 holds
+    4/(c(i) + 3) and family 3 holds -2/(c(i) + 6), both from i = 0.
     """
-
-    family1: tuple[Fraction, ...]
-    family2: tuple[Fraction, ...]
-    family3: tuple[Fraction, ...]
-
-
-def limit_values(count: int) -> LimitFamilies:
-    """First ``count`` members of each limit-value family, exact."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    return LimitFamilies(
+    return (
         tuple(Fraction(-2, backbone_constant(i)) for i in range(1, count + 1)),
         tuple(Fraction(4, backbone_constant(i) + 3) for i in range(count)),
         tuple(Fraction(-2, backbone_constant(i) + 6) for i in range(count)),
     )
-
-
-class VerificationReport(NamedTuple):
-    """Outcome of checking the closed form against the Schur algorithm.
-
-    ``ansatz_values[m - 1]`` and ``schur_values[m - 1]`` hold the m-th
-    non-zero parameter by each route; ``first_mismatch`` is the first m at
-    which they differ.
-    """
-
-    ansatz_values: tuple[Fraction, ...]
-    schur_values: tuple[Fraction, ...]
-    first_mismatch: Optional[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.first_mismatch is None
-
-
-def verify_ansatz(count: int) -> VerificationReport:
-    """Compare nonzero_alpha(m), m = 1..count, with the Schur algorithm.
-
-    The Schur route runs on the dense-variant Caratheodory series, where one
-    extraction step corresponds to one non-zero parameter; that is four times
-    cheaper than extracting from the sparse variant and interleaving zeros.
-    Every index is compared, so the report carries both full sequences.
-    """
-    # Only this check runs the Schur route; the closed form needs neither module.
-    from .riesz import MeasureVariant, caratheodory_series
-    from .schur import extract_verblunsky
-
-    G = caratheodory_series(count + 1, MeasureVariant.NU)
-    schur_values = tuple(extract_verblunsky(G, count))
-    ansatz_values = tuple(nonzero_alpha(m) for m in range(1, count + 1))
-    first_mismatch = next(
-        (m for m, (a, s) in enumerate(zip(ansatz_values, schur_values), 1) if a != s),
-        None,
-    )
-    return VerificationReport(ansatz_values, schur_values, first_mismatch)

@@ -168,36 +168,30 @@ def cmd_moments(args) -> int:
 
 def cmd_verblunsky(args) -> int:
     count = args.count
+    # The m-th non-zero parameter sits at index 4m - 1 in the sparse variant
+    # and at m - 1 in the dense one.
+    index = range(3, 4 * count, 4) if args.variant == "mu" else range(count)
+    values = []
+    if args.method != "schur":
+        from . import ansatz
 
-    def index_of(m: int) -> int:
-        # m-th non-zero parameter: index 4m-1 in the sparse variant, m-1 in
-        # the dense one.
-        return 4 * m - 1 if args.variant == "mu" else m - 1
+        values.append([ansatz.nonzero_alpha(m) for m in range(1, count + 1)])
+    if args.method != "ansatz":
+        from .riesz import MeasureVariant, caratheodory_series
+        from .schur import extract_verblunsky
 
+        # On the dense variant one extraction step gives one non-zero
+        # parameter: four times cheaper than the sparse variant.
+        G = caratheodory_series(count + 1, MeasureVariant.NU)
+        values.append(extract_verblunsky(G, count))
     if args.method != "both":
-        if args.method == "ansatz":
-            from . import ansatz
-
-            values = [ansatz.nonzero_alpha(m) for m in range(1, count + 1)]
-        else:
-            from .riesz import MeasureVariant, caratheodory_series
-            from .schur import extract_verblunsky
-
-            G = caratheodory_series(count + 1, MeasureVariant.NU)
-            values = extract_verblunsky(G, count)
-        rows = [[index_of(m), v] for m, v in enumerate(values, 1)]
-        write_table(["index", "alpha"], rows, args)
+        write_table(["index", "alpha"], [list(row) for row in zip(index, *values)], args)
         return 0
-    from . import ansatz
-
-    report = ansatz.verify_ansatz(count)
-    rows = [
-        [index_of(m), a, s, a == s]
-        for m, (a, s) in enumerate(zip(report.ansatz_values, report.schur_values), 1)
-    ]
+    equal = [a == s for a, s in zip(*values)]
+    rows = [list(row) for row in zip(index, *values, equal)]
     write_table(["index", "alpha_ansatz", "alpha_schur", "equal"], rows, args)
-    if not report.ok:
-        print(f"mismatch at index {index_of(report.first_mismatch)}", file=sys.stderr)
+    if False in equal:
+        print(f"mismatch at index {index[equal.index(False)]}", file=sys.stderr)
         return 1
     return 0
 
@@ -213,11 +207,9 @@ def cmd_backbone(args) -> int:
 def cmd_limits(args) -> int:
     from . import ansatz
 
-    families = ansatz.limit_values(args.count)
     rows = []
-    for fam, (values, start) in enumerate(
-        [(families.family1, 1), (families.family2, 0), (families.family3, 0)], start=1
-    ):
+    families = zip((1, 0, 0), ansatz.limit_values(args.count))
+    for fam, (start, values) in enumerate(families, start=1):
         rows.extend([fam, start + k, v] for k, v in enumerate(values))
     write_table(["family", "i", "value"], rows, args)
     return 0

@@ -315,6 +315,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "cli-mismatch-reports-previous-index",
+        CLI,
+        "index[equal.index(False)]",
+        "index[equal.index(False) - 1]",
+        (
+            "tests/test_cli.py::test_verblunsky_mismatch_exits_1",
+            "tests/test_cli.py::test_verblunsky_mismatch_at_either_end",
+            "tests/test_cli.py::test_process_exit_codes",
+        ),
+    ),
+    Mutant(
         "cli-spread-one-step-early",
         CLI,
         "amplitudes[3::4] = nu.amplitudes",

@@ -13,7 +13,6 @@ from rieszwalk.ansatz import (
     decompose_index,
     limit_values,
     nonzero_alpha,
-    verify_ansatz,
     weight,
 )
 
@@ -123,18 +122,17 @@ def test_backbone_constant_examples(i, expected):
 
 @pytest.mark.parametrize("m,n,p", [(1, 1, 0), (3, 1, 1), (11, 1, 2), (2, 2, 0), (4, 4, 0)])
 def test_decompose_examples(m, n, p):
-    d = decompose_index(m)
-    assert (d.n, d.p) == (n, p)
+    assert decompose_index(m) == (n, p)
 
 
 def test_decompose_bijection_prefix():
     seen = set()
     for m in range(1, 10_001):
-        d = decompose_index(m)
-        assert d.n >= 1 and d.n % 4 != 3
-        assert (1 + (3 * d.n - 1) * 4**d.p) // 3 == m
-        assert (d.n, d.p) not in seen
-        seen.add((d.n, d.p))
+        n, p = decompose_index(m)
+        assert n >= 1 and n % 4 != 3
+        assert (1 + (3 * n - 1) * 4**p) // 3 == m
+        assert (n, p) not in seen
+        seen.add((n, p))
 
 
 def test_decompose_rejects_nonpositive():
@@ -187,16 +185,15 @@ def test_offsets_agree_with_closed_form():
 
 
 def test_limit_families():
-    fams = limit_values(3)
-    assert fams.family1[0] == F(-2, 39)
-    assert fams.family2[0] == F(2, 3)
-    assert fams.family3[0] == F(-2, 9)
-    assert len(fams.family1) == len(fams.family2) == len(fams.family3) == 3
+    family1, family2, family3 = limit_values(3)
+    assert family1[0] == F(-2, 39)
+    assert family2[0] == F(2, 3)
+    assert family3[0] == F(-2, 9)
+    assert len(family1) == len(family2) == len(family3) == 3
 
 
 def test_limit_extremes():
-    fams = limit_values(50)
-    everything = fams.family1 + fams.family2 + fams.family3
+    everything = sum(limit_values(50), ())
     assert max(everything) == F(2, 3)
     assert min(everything) == F(-2, 9)
 
@@ -216,13 +213,3 @@ def test_parameters_inside_disk():
     assert all(F(-1, 3) <= v < F(2, 3) for v in values)
     assert max(values[:42]) == F(21, 32)
     assert min(values) == F(-1, 3)
-
-
-# -- cross-verification -----------------------------------------------------------
-
-
-def test_verify_ansatz_small():
-    report = verify_ansatz(40)
-    assert report.ok
-    assert len(report.schur_values) == 40
-    assert report.first_mismatch is None

@@ -106,8 +106,9 @@ def test_moments_json(capsys):
 
 def test_verblunsky_ansatz(capsys):
     code, out, _ = run(capsys, "verblunsky", "--count", "4", "--method", "ansatz")
-    _, rows = rows_of(out)
+    header, rows = rows_of(out)
     assert code == 0
+    assert header == ["index", "alpha"]
     assert rows == [["3", "1/2"], ["7", "-1/3"], ["11", "5/8"], ["15", "-1/13"]]
 
 
@@ -121,8 +122,9 @@ def test_verblunsky_nu_indexing(capsys):
 
 def test_verblunsky_schur_single(capsys):
     code, out, _ = run(capsys, "verblunsky", "--count", "1", "--method", "schur")
-    _, rows = rows_of(out)
+    header, rows = rows_of(out)
     assert code == 0
+    assert header == ["index", "alpha"]
     assert rows == [["3", "1/2"]]
 
 
@@ -133,6 +135,11 @@ def test_verblunsky_both_passes(capsys):
     assert err == ""
     assert header == ["index", "alpha_ansatz", "alpha_schur", "equal"]
     assert all(row[3] == "true" for row in rows)
+
+
+def test_verblunsky_count_0_both_is_header_only(capsys):
+    code, out, err = run(capsys, "verblunsky", "--count", "0", "--method", "both")
+    assert (code, out, err) == (0, "index,alpha_ansatz,alpha_schur,equal\n", "")
 
 
 # -- backbone and limits ----------------------------------------------------------
@@ -386,6 +393,21 @@ assert not added, f"imported {sorted(added)}"
     assert result.returncode == 0, result.stderr
 
 
+def assert_command_skips(argv, unused):
+    """``main(argv)`` succeeds in a fresh interpreter that loads none of ``unused``."""
+    script = f"""
+import sys
+import rieszwalk.cli
+assert rieszwalk.cli.main({argv!r}) == 0
+loaded = [m for m in {unused!r} if "rieszwalk." + m in sys.modules]
+assert not loaded, f"imported {{loaded}}"
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize(
     "coin, unused",
     [
@@ -394,17 +416,19 @@ assert not added, f"imported {sorted(added)}"
     ],
 )
 def test_walk_commands_skip_the_exact_modules_they_do_not_run(coin, unused):
-    script = f"""
-import sys
-import rieszwalk.cli
-assert rieszwalk.cli.main(["walk", "--coin", "{coin}", "--steps", "2"]) == 0
-loaded = [m for m in {unused!r} if "rieszwalk." + m in sys.modules]
-assert not loaded, f"imported {{loaded}}"
-"""
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
-    )
-    assert result.returncode == 0, result.stderr
+    assert_command_skips(["walk", "--coin", coin, "--steps", "2"], unused)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verblunsky", "--count", "4", "--method", "ansatz"],
+        ["backbone", "--count", "3"],
+        ["limits", "--count", "3"],
+    ],
+)
+def test_closed_form_commands_skip_the_series_modules(argv):
+    assert_command_skips(argv, ["riesz", "schur", "series"])
 
 
 def test_coin_file_too_short(capsys, tmp_path):
@@ -452,6 +476,29 @@ def test_verblunsky_mismatch_exits_1(capsys, monkeypatch):
     assert "index 11" in err
     _, rows = rows_of(out)
     assert rows[2][3] == "false"
+
+
+@pytest.mark.parametrize(
+    "variant, m, index",
+    [("mu", 1, 3), ("mu", 4, 15), ("nu", 1, 0), ("nu", 4, 3)],
+)
+def test_verblunsky_mismatch_at_either_end(capsys, monkeypatch, variant, m, index):
+    import rieszwalk.ansatz
+
+    real = rieszwalk.ansatz.nonzero_alpha
+    monkeypatch.setattr(
+        rieszwalk.ansatz, "nonzero_alpha", lambda k: F(9, 10) if k == m else real(k)
+    )
+    code, out, err = run(
+        capsys, "verblunsky", "--count", "4", "--method", "both", "--variant", variant
+    )
+    assert (code, err) == (1, f"mismatch at index {index}\n")
+    indices = [3, 7, 11, 15] if variant == "mu" else [0, 1, 2, 3]
+    values = ["1/2", "-1/3", "5/8", "-1/13"]
+    lines = ["index,alpha_ansatz,alpha_schur,equal"]
+    for k, (i, v) in enumerate(zip(indices, values), 1):
+        lines.append(f"{i},9/10,{v},false" if k == m else f"{i},{v},{v},true")
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_first_return_discrepancy_exits_1(capsys, monkeypatch):
