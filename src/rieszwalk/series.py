@@ -9,6 +9,8 @@ exactly one trustworthy order per step, and silently reading past the valid
 order is the main correctness hazard of the whole computation.
 
 Coefficients are ``fractions.Fraction`` throughout; arithmetic is exact.
+Division scales its inputs once to integers and stays in integers until it
+reduces each quotient coefficient, once, to a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -22,35 +24,6 @@ CoefficientLike = Union[Fraction, int]
 
 class ZeroConstantTerm(ValueError):
     """Division by a series whose constant term is zero or untrusted."""
-
-
-def _nonzero_terms(coeffs: Sequence[Fraction]) -> list[tuple[int, int, int]]:
-    """(order, numerator, denominator) of each non-zero coefficient, by order."""
-    return [(i, c.numerator, c.denominator) for i, c in enumerate(coeffs) if c]
-
-
-def _convolve_at(
-    terms: list[tuple[int, int, int]], nums: Sequence[int], dens: Sequence[int], n: int
-) -> tuple[int, int]:
-    """The sum of a_i b_(n-i) as an unreduced integer pair (numerator, denominator).
-
-    ``terms`` lists the non-zero a_i by increasing i (see ``_nonzero_terms``);
-    those with i > n do not enter.  b_k is ``nums[k] / dens[k]``.  The products stay
-    integer pairs and are summed over their least common denominator, so the
-    caller can normalize once per coefficient instead of twice per term.
-    """
-    ps, qs = [], []
-    for i, p, q in terms:
-        if i > n:
-            break
-        b = nums[n - i]
-        if b:
-            ps.append(p * b)
-            qs.append(q * dens[n - i])
-    if not ps:
-        return 0, 1
-    lcm = math.lcm(*qs)
-    return sum(p * (lcm // q) for p, q in zip(ps, qs)), lcm
 
 
 class TruncatedSeries:
@@ -103,24 +76,50 @@ class TruncatedSeries:
     # -- ring operations ----------------------------------------------------
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Quotient through the common valid order, by long division.
+        """Quotient through the common valid order, by a fraction-free recurrence.
 
-        h_n = (a_n - sum_(i>=1) b_i h_(n-i)) / b_0 reads a and b only up to
+        With a and b scaled once to integer lists A = a l_A and B = b l_B
+        (l_A, l_B the lcm of their denominators), the integers
+        H_n = B_0^n A_n - sum_(i>=1) B_i B_0^(i-1) H_(n-i) satisfy
+        H_n = B_0^(n+1) (A/B)_n, so the quotient's order-n coefficient is
+        H_n l_B / (B_0^(n+1) l_A), reduced once.  H_n reads a and b only up to
         order n, so every output order is as trustworthy as both inputs.
+        Each multiplier B_i B_0^(i-1) is kept as ``odd << e``, so a power of
+        two in it costs a shift.
+
+        The integers grow like (B_0 l_B)^n.  That suits divisors whose scaled
+        constant term is a power of two, like the integer start of a Riesz
+        Caratheodory series or a moment series with dyadic denominators, but
+        not general rationals, whose denominators keep growing through a
+        chain of divisions.
         """
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if other.valid_order < 0 or not other._coeffs[0]:
             raise ZeroConstantTerm("divisor has no invertible constant term")
-        b0 = other._coeffs[0]
-        terms = _nonzero_terms(other._coeffs)[1:]
         order = min(self.valid_order, other.valid_order)
-        out, nums, dens = [], [], []
-        for n, a in enumerate(self._coeffs[: order + 1]):
-            total, lcm = _convolve_at(terms, nums, dens, n)
-            num = (a.numerator * lcm - a.denominator * total) * b0.denominator
-            c = Fraction(num, a.denominator * lcm * b0.numerator)
-            out.append(c)
-            nums.append(c.numerator)
-            dens.append(c.denominator)
+        a, b = self._coeffs[: order + 1], other._coeffs[: order + 1]
+        l_a = math.lcm(*(c.denominator for c in a))
+        l_b = math.lcm(*(c.denominator for c in b))
+        A = [c.numerator * (l_a // c.denominator) for c in a]
+        B = [c.numerator * (l_b // c.denominator) for c in b]
+        terms = []  # (i, odd, e) with odd << e == B_i B_0^(i-1), for B_i != 0
+        power = 1
+        for i, c in enumerate(B[1:], 1):
+            if c:
+                c *= power
+                e = (c & -c).bit_length() - 1
+                terms.append((i, c >> e, e))
+            power *= B[0]
+        out, h = [], []
+        power = 1
+        for n, c in enumerate(A):
+            total = c * power
+            for i, odd, e in terms:
+                if i > n:
+                    break
+                total -= odd * h[n - i] << e
+            h.append(total)
+            power *= B[0]
+            out.append(Fraction(total * l_b, power * l_a))
         return TruncatedSeries(out, order)

@@ -292,13 +292,26 @@ MUTANTS = (
         # The quotient's order-n coefficient loses its b_n h_0 term.
         "series-division-drops-last-term",
         SERIES,
-        "        if i > n:\n",
-        "        if i >= n:\n",
+        "                if i > n:\n",
+        "                if i >= n:\n",
         (
             "tests/test_series.py::test_reciprocal_geometric",
             "tests/test_series.py::test_kernel_matches_oracle_on_riesz_series",
             "tests/test_schur.py::test_renewal_agrees_with_schur_route",
             "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
+        ),
+    ),
+    Mutant(
+        # Every multiplier B_i B_0^(i-1) doubles.
+        "series-division-shift-one-too-far",
+        SERIES,
+        "terms.append((i, c >> e, e))",
+        "terms.append((i, c >> e, e + 1))",
+        (
+            "tests/test_series.py::test_kernel_matches_oracle_on_riesz_series",
+            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
+            "tests/test_series.py::test_kernel_matches_divide_on_the_schur_start_through_order_1001",
+            "tests/test_series.py::test_kernel_matches_divide_on_the_renewal_inverse_through_order_1000",
         ),
     ),
     Mutant(

@@ -12,6 +12,10 @@ exists to check a production route by a second, unrelated one:
   without self-transitions;
 * ``mul`` and ``reciprocal``: the term-by-term Fraction product and
   reciprocal, against the quotient ``TruncatedSeries.__truediv__``;
+* ``divide``: the quotient by long division over each order's least common
+  denominator, against the fraction-free ``TruncatedSeries.__truediv__``;
+  unlike that one it stays fast on a chain of divisions by general
+  rationals, so the tests' Schur stepper divides with it;
 * ``mu_signed_quartic_digits``: the signed base-4 digit rule of the sparse
   measure MU (every exponent >= 1), against ``riesz.moment`` on MU, which
   reaches MU only by re-indexing NU;
@@ -58,7 +62,7 @@ from rieszwalk.cmv import (
     Entry,
     apply_on_residues,
 )
-from rieszwalk.series import CoefficientLike, TruncatedSeries
+from rieszwalk.series import CoefficientLike, TruncatedSeries, ZeroConstantTerm
 from rieszwalk.walk import CoinMatrix
 
 
@@ -126,6 +130,58 @@ def reciprocal(x: TruncatedSeries) -> TruncatedSeries:
                 acc += ai * out[n - i]
         out.append(-inv0 * acc)
     return TruncatedSeries(out, x.valid_order)
+
+
+def _nonzero_terms(coeffs: Sequence[Fraction]) -> list[tuple[int, int, int]]:
+    """(order, numerator, denominator) of each non-zero coefficient, by order."""
+    return [(i, c.numerator, c.denominator) for i, c in enumerate(coeffs) if c]
+
+
+def _convolve_at(
+    terms: list[tuple[int, int, int]], nums: Sequence[int], dens: Sequence[int], n: int
+) -> tuple[int, int]:
+    """The sum of a_i b_(n-i) as an unreduced integer pair (numerator, denominator).
+
+    ``terms`` lists the non-zero a_i by increasing i (see ``_nonzero_terms``);
+    those with i > n do not enter.  b_k is ``nums[k] / dens[k]``.  The products stay
+    integer pairs and are summed over their least common denominator, so the
+    caller can normalize once per coefficient instead of twice per term.
+    """
+    ps, qs = [], []
+    for i, p, q in terms:
+        if i > n:
+            break
+        b = nums[n - i]
+        if b:
+            ps.append(p * b)
+            qs.append(q * dens[n - i])
+    if not ps:
+        return 0, 1
+    lcm = math.lcm(*qs)
+    return sum(p * (lcm // q) for p, q in zip(ps, qs)), lcm
+
+
+def divide(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
+    """Quotient through the common valid order, by long division.
+
+    h_n = (a_n - sum_(i>=1) b_i h_(n-i)) / b_0, each order summed over the
+    lcm of its terms' denominators and reduced to lowest terms before the
+    next order reads it.
+    """
+    if y.valid_order < 0 or not y.coefficients[0]:
+        raise ZeroConstantTerm("divisor has no invertible constant term")
+    b0 = y.coefficients[0]
+    terms = _nonzero_terms(y.coefficients)[1:]
+    order = min(x.valid_order, y.valid_order)
+    out, nums, dens = [], [], []
+    for n, a in enumerate(x.coefficients[: order + 1]):
+        total, lcm = _convolve_at(terms, nums, dens, n)
+        num = (a.numerator * lcm - a.denominator * total) * b0.denominator
+        c = Fraction(num, a.denominator * lcm * b0.numerator)
+        out.append(c)
+        nums.append(c.numerator)
+        dens.append(c.denominator)
+    return TruncatedSeries(out, order)
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

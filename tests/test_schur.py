@@ -11,7 +11,7 @@ from expected_values import (
     NONZERO_PARAMS_36,
     SCHUR_F,
 )
-from oracles import add, scale, substitute_quartic
+from oracles import add, divide, scale, substitute_quartic
 from rieszwalk import schur
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import (
@@ -34,7 +34,8 @@ MU, NU = MeasureVariant.MU, MeasureVariant.NU
 #
 # The textbook iteration, one series division per step.  It is the
 # independent reference that extract_verblunsky's fraction-free loop must
-# reproduce bit for bit.
+# reproduce bit for bit.  It divides with the oracle's long division, which
+# stays fast on its chain of general rational divisors.
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def schur_step(state: SchurState) -> SchurState:
     # (f - alpha) / z drops f's constant term, and with it one order.
     numerator = TruncatedSeries(f.coefficients[1:], f.valid_order - 1)
     denominator = add(TruncatedSeries([1], f.valid_order), scale(f, -alpha))
-    nxt = numerator / denominator
+    nxt = divide(numerator, denominator)
     return SchurState(nxt, state.step + 1, state.extracted + (alpha,))
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import add, mul, reciprocal, substitute_quartic
-from rieszwalk.riesz import MeasureVariant, caratheodory_series
+from oracles import add, divide, mul, reciprocal, substitute_quartic
+from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
+from rieszwalk.schur import _fraction_free_start
 from rieszwalk.series import TruncatedSeries, ZeroConstantTerm
 
 
@@ -61,6 +62,30 @@ def test_kernel_matches_oracle_on_generated_series():
         assert mul(quotient, b) == S(a.coefficients, order)
 
     check()
+
+
+# ``divide`` is the long-division oracle, held to the quotient order by order
+# on the two divisions that ``first-return --method exact`` and the renewal
+# check run, at their production size.
+
+
+def assert_orders_equal(quotient, oracle):
+    assert quotient.valid_order == oracle.valid_order
+    for n, (got, want) in enumerate(zip(quotient.coefficients, oracle.coefficients)):
+        assert got == want, f"order {n}: {got} != {want}"
+
+
+def test_kernel_matches_divide_on_the_schur_start_through_order_1001():
+    # schur_from_caratheodory's integer pair for NU, as ``--max 4004`` divides it.
+    p, q = _fraction_free_start(caratheodory_series(1002, MeasureVariant.NU), 1002)
+    numerator, denominator = S(p, 1001), S(q, 1001)
+    assert_orders_equal(numerator / denominator, divide(numerator, denominator))
+
+
+def test_kernel_matches_divide_on_the_renewal_inverse_through_order_1000():
+    # renewal_first_return's 1/r over MU's moments.
+    r = S([moment(j, MeasureVariant.MU) for j in range(1001)], 1000)
+    assert_orders_equal(S([1], 1000) / r, divide(S([1], 1000), r))
 
 
 # ``add`` and ``mul`` are the test-side sum and product; these pin them before
