@@ -4,23 +4,22 @@ A CMV operator is pentadiagonal: rows 0 and 1 are special, then the sparsity
 pattern repeats in 2x4 blocks shifted right by two columns per block row.
 The finite matrix here is the plain truncation of the infinite one, which
 leaves every interior column orthonormal; only the last two columns feel the
-cut.  Storage is by diagonals (offsets -2..+2), each with a table of the
-rows that hold its non-zero entries.  Builders write whole bands by slices,
-one for each parity of row, slots outside the matrix included; only the
-``BandedUnitary`` constructor knows those slots, and zeroes them on its own
-copy.  A step is told how far the state reaches (its support) and touches
-only those rows, so one application costs O(support), plus the O(dimension)
-zero-filled output.
+cut.  Storage is by diagonals (offsets -2..+2).  Builders write whole
+bands by slices, one for each parity of row, slots outside the matrix
+included; only the ``BandedUnitary`` constructor knows those slots, and
+zeroes them on its own copy.  A step is told how far the state reaches
+(its support) and touches only those rows, so one application costs
+O(support), plus the O(dimension) zero-filled output.
 
 Zero entries come in patterns that repeat along the rows.  The Riesz
 coefficients vanish off n = 3 (mod 4), and CMV rows come in pairs, so the
 Riesz operator's zero pattern repeats every ``PERIOD`` = 8 rows; a
-constant-coin walk's repeats every two.  The constructor records, for each
-band, the residues mod ``PERIOD`` of its non-zero rows, and a step is also
-told the residues at which the state can be non-zero.  It multiplies each
-band once, over one strided slice that holds every row whose residue is in
-both sets, and hands back the residues the next state can reach.  Every
-product it skips has a zero factor.
+constant-coin walk's repeats every two.  A step is also told the residues
+mod ``PERIOD`` at which the state can be non-zero.  It multiplies each band
+once, over one strided slice that holds every non-zero row of the band
+whose residue is in that set, and hands back the residues the next state
+can reach.  The slices are read from the bands the first time a set of
+residues is stepped.  Every product a step skips has a zero factor.
 
 Transitions are read along rows: row r lists the amplitudes for one step out
 of basis state r.  Applying the operator to a state vector therefore
@@ -81,13 +80,10 @@ class BandedUnitary:
     ``bands[o + 2, r]`` holds the entry at (row r, column r + o).  The
     constructor owns the truncation: it copies the bands it is given, zeroes
     the slots whose column falls outside the matrix, and makes its copy
-    read-only; the caller's array is left as it was.  ``residue_rows`` lists
-    ``(o, ((t, first, last), ...))`` for each band with a non-zero entry,
-    offsets ascending: t runs over the residues mod ``PERIOD`` of the band's
-    non-zero rows, and first and last are its first and last such row.
+    read-only; the caller's array is left as it was.
     """
 
-    __slots__ = ("bands", "dimension", "residue_rows", "_plans")
+    __slots__ = ("bands", "dimension", "_plans")
 
     def __init__(self, bands: np.ndarray):
         bands = np.array(bands, dtype=complex)
@@ -99,16 +95,6 @@ class BandedUnitary:
         bands.flags.writeable = False
         self.bands = bands
         self.dimension = bands.shape[1]
-        residue_rows = []
-        for o in range(-2, 3):
-            rows = []
-            for t in range(PERIOD):
-                k = np.flatnonzero(bands[o + 2, t::PERIOD])
-                if k.size:
-                    rows.append((t, t + PERIOD * int(k[0]), t + PERIOD * int(k[-1])))
-            if rows:
-                residue_rows.append((o, tuple(rows)))
-        self.residue_rows = tuple(residue_rows)
         self._plans: dict[int, tuple[int, tuple[Slice, ...]]] = {}
 
     def plan(self, residues: int) -> tuple[int, tuple[Slice, ...]]:
@@ -116,16 +102,22 @@ class BandedUnitary:
 
         ``residues`` is a bit set over the residues mod ``PERIOD``.  Returns
         the bit set of the next state and, for each band that meets the
-        state, the one slice of rows to multiply: it starts at the first and
-        stops after the last non-zero row whose residue is in both sets, with
-        the coarsest stride (a divisor of ``PERIOD``) that holds them all.
-        Each of the at most 2 ** PERIOD plans is made once.
+        state, the one slice of rows to multiply: it starts at the band's
+        first and stops after its last non-zero row whose residue is in
+        ``residues``, with the coarsest stride (a divisor of ``PERIOD``) that holds them all.
+        Each of the at most 2 ** PERIOD plans is made once, from the bands,
+        which are read-only.
         """
         plan = self._plans.get(residues)
         if plan is None:
             reached, slices = 0, []
-            for o, rows in self.residue_rows:
-                hit = [r for r in rows if residues >> r[0] & 1]
+            for o in range(-2, 3):
+                hit = []  # (t, first, last) for each residue t in the set
+                for t in range(PERIOD):
+                    if residues >> t & 1:
+                        k = np.flatnonzero(self.bands[o + 2, t::PERIOD])
+                        if k.size:
+                            hit.append((t, t + PERIOD * int(k[0]), t + PERIOD * int(k[-1])))
                 if hit:
                     stride = math.gcd(PERIOD, *(t - hit[0][0] for t, _, _ in hit))
                     start = min(first for _, first, _ in hit)

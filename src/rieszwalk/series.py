@@ -29,12 +29,13 @@ class ZeroConstantTerm(ValueError):
 class TruncatedSeries:
     """Dense power series with coefficients trusted through ``valid_order``.
 
-    The stored coefficient list always has length ``valid_order + 1``;
-    ``valid_order == -1`` means no coefficient is trustworthy.  Instances are
-    immutable: all operations return new series.
+    ``valid_order`` is read off the stored coefficient list, one less than
+    its length, so the two cannot disagree; ``valid_order == -1`` means no
+    coefficient is trustworthy.  Instances are immutable: all operations
+    return new series.
     """
 
-    __slots__ = ("_coeffs", "valid_order")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[CoefficientLike], valid_order: int):
         if valid_order < -1:
@@ -47,7 +48,10 @@ class TruncatedSeries:
         else:
             del coeffs[n:]
         self._coeffs = tuple(coeffs)
-        self.valid_order = valid_order
+
+    @property
+    def valid_order(self) -> int:
+        return len(self._coeffs) - 1
 
     @property
     def coefficients(self) -> Sequence[Fraction]:

@@ -179,9 +179,10 @@ def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[Wal
     larger truncation's prefix.  Each step passes that light cone to
     ``cmv.apply_on_residues`` as its ``support`` promise, with the residues
     mod ``PERIOD`` at which the state can be non-zero: taken from the initial
-    state's non-zero indices, then carried through the operator's residue
-    table.  So a step reads only the rows the walk can have reached and the
-    band entries it can meet there, with bit-identical results.
+    state's non-zero indices, then carried through the operator's plans,
+    which read the zero pattern from its bands.  So a step reads only the
+    rows the walk can have reached and the band entries it can meet there,
+    with bit-identical results.
     """
     return map(WalkState, _steps(M, initial.amplitudes, steps))
 

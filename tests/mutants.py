@@ -174,6 +174,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # Every non-zero row is planned, whatever the state's residues: the
+        # extra products are zero, so only the plans themselves differ.
+        "plan-ignores-state-residues",
+        CMV,
+        "if residues >> t & 1:",
+        "if ALL_RESIDUES >> t & 1:",
+        (
+            "tests/test_cmv.py::test_riesz_walk_plans_take_one_row_in_eight",
+            "tests/test_cmv.py::test_every_plan_matches_its_brute_force_plan",
+        ),
+    ),
+    Mutant(
         # A sign fault beyond index 200 of the Hadamard coefficients: past the
         # conjugation and spectral-moment checks (dimensions 64 and 108), so
         # only the closed-form first returns through n = 1000 see it.

@@ -26,6 +26,9 @@ exists to check a production route by a second, unrelated one:
   entries;
 * ``from_entries``: a ``BandedUnitary`` placed one (row, col, value) triple
   at a time, the inverse of ``BandedUnitary.nonzero_entries``;
+* ``residue_rows``: each band's first and last non-zero row of each residue
+  mod ``PERIOD``, read back from the singleton plans of
+  ``BandedUnitary.plan``, so tests can pin an operator's zero pattern;
 * ``disk_point_by_fraction``, ``build_cmv_by_entry``,
   ``coined_walk_matrix_by_entry`` and ``apply_full_length``: the earlier
   ``cmv`` and ``walk`` routines (Fraction complement, one entry at a time
@@ -54,6 +57,7 @@ import numpy as np
 from rieszwalk.ansatz import backbone
 from rieszwalk.cmv import (
     ALL_RESIDUES,
+    PERIOD,
     AlphaLike,
     BandedUnitary,
     CoefficientOutOfDisk,
@@ -292,6 +296,21 @@ def from_entries(dim: int, entries: Iterable[Entry]) -> BandedUnitary:
         if 0 <= row < dim and 0 <= col < dim:
             bands[col - row + 2, row] = value
     return BandedUnitary(bands)
+
+
+def residue_rows(M: BandedUnitary) -> tuple:
+    """``(o, ((t, first, last), ...))`` for each band o with a non-zero entry.
+
+    Offsets ascend, t runs over the residues mod ``PERIOD`` of the band's
+    non-zero rows, and first and last are its first and last such row: the
+    plan for the residue t alone slices each band from the one to past the
+    other.
+    """
+    rows: dict[int, list] = {}
+    for t in range(PERIOD):
+        for o, start, stop, _ in M.plan(1 << t)[1]:
+            rows.setdefault(o, []).append((t, start, stop - 1))
+    return tuple((o, tuple(rows[o])) for o in sorted(rows))
 
 
 def disk_point_by_fraction(value: AlphaLike) -> tuple[complex, float]:

@@ -12,6 +12,7 @@ from oracles import (
     dense,
     disk_point_by_fraction,
     from_entries,
+    residue_rows,
     spectral_moments,
 )
 from rieszwalk.ansatz import alpha
@@ -237,7 +238,7 @@ def test_apply_matches_full_length_oracle_bitwise(kind):
 
 
 def residue_rows_by_entry(m: BandedUnitary) -> tuple:
-    """``m.residue_rows`` gathered from the non-zero entries one at a time."""
+    """``residue_rows(m)`` gathered from the non-zero entries one at a time."""
     rows = {}
     for r, c, _ in m.nonzero_entries():
         rows.setdefault(c - r, {}).setdefault(r % PERIOD, []).append(r)
@@ -252,17 +253,46 @@ def test_residue_rows_cover_the_non_zero_rows_of_each_band():
     # are non-zero only at rows 1, 5 and 2, 6 mod 8.  The free operator is a
     # shift: its rows 0, 2, 4 move right by two, row 1 left by one and rows
     # 3, 5, 7 left by two; its offsets 0 and +1 hold no entry.
-    riesz = riesz_matrix(40).residue_rows
+    riesz = residue_rows(riesz_matrix(40))
     assert [(o, [t for t, _, _ in rows]) for o, rows in riesz] == [
         (-2, [1, 3, 5, 7]), (-1, [1, 5]), (1, [2, 6]), (2, [0, 2, 4, 6]),
     ]
-    assert free_matrix(8).residue_rows == (
+    assert residue_rows(free_matrix(8)) == (
         (-2, ((3, 3, 3), (5, 5, 5), (7, 7, 7))),
         (-1, ((1, 1, 1),)),
         (2, ((0, 0, 0), (2, 2, 2), (4, 4, 4))),
     )
     for m in (riesz_matrix(41), random_matrix(37, seed=2), coined_walk_matrix(HADAMARD_COIN, 30)):
-        assert m.residue_rows == residue_rows_by_entry(m)
+        assert residue_rows(m) == residue_rows_by_entry(m)
+
+
+def plan_by_entry(m: BandedUnitary, residues: int) -> tuple:
+    """``m.plan(residues)`` built from the non-zero entries in the residue set."""
+    rows: dict[int, list[int]] = {}
+    for r, c, _ in m.nonzero_entries():
+        if residues >> r % PERIOD & 1:
+            rows.setdefault(c - r, []).append(r)
+    reached, slices = 0, []
+    for o, rs in sorted(rows.items()):
+        slices.append((o, rs[0], rs[-1] + 1, math.gcd(PERIOD, *(r - rs[0] for r in rs))))
+        for r in rs:
+            reached |= 1 << (r + o) % PERIOD
+    return reached, tuple(slices)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        riesz_matrix(41),
+        free_matrix(20),
+        random_matrix(37, seed=2),
+        coined_walk_matrix(HADAMARD_COIN, 30),
+    ],
+    ids=["riesz", "free", "random", "hadamard-coined"],
+)
+def test_every_plan_matches_its_brute_force_plan(m):
+    for residues in range(ALL_RESIDUES + 1):
+        assert m.plan(residues) == plan_by_entry(m, residues), residues
 
 
 def test_riesz_walk_plans_take_one_row_in_eight():
@@ -287,7 +317,7 @@ def test_junk_outside_the_matrix_is_never_read():
     bands[0, :2] = bands[1, 0] = bands[3, -1] = math.nan
     bands[4, -2:] = 1e300 + 1e300j
     m = BandedUnitary(bands)
-    assert m.residue_rows == tuple(
+    assert residue_rows(m) == tuple(
         (o, tuple((t, t, t) for t in range(4, 8 if o < 2 else 5))) for o in range(-2, 3)
     )
     full = random_state(n, seed=4)
@@ -297,7 +327,7 @@ def test_junk_outside_the_matrix_is_never_read():
         got = apply_on_residues(state, m, support, ALL_RESIDUES)[0]
         assert bits(got) == bits(apply_full_length(state, m)), support
     m = BandedUnitary(np.where(np.arange(n) < 2, bands, 0))
-    assert m.residue_rows == ()
+    assert residue_rows(m) == ()
     assert bits(apply_on_residues(full, m, n, ALL_RESIDUES)[0]) == bits(np.zeros(n))
 
 
@@ -318,7 +348,7 @@ def test_junk_twin_matches_its_clean_twin(clean, junk):
     assert np.count_nonzero(outside_the_matrix(n)) == 6
     m = BandedUnitary(np.where(outside_the_matrix(n), junk, clean.bands))
     assert m.bands.tobytes() == clean.bands.tobytes()
-    assert m.residue_rows == clean.residue_rows
+    assert residue_rows(m) == residue_rows(clean)
     assert list(m.nonzero_entries()) == list(clean.nonzero_entries())
     full = random_state(n, seed=n)
     for support in (0, 1, n // 2, n):

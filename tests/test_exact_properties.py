@@ -53,6 +53,31 @@ def test_mu_moment_is_the_nu_moment_at_a_quarter_of_the_index(j):
         assert mu == (0 if expansion is None else Fraction(1, 2 ** len(expansion)))
 
 
+def nu_from_mu(j: int) -> Fraction:
+    """NU = (1 + cos theta) MU, so NU's j-th moment mixes MU's at j - 1, j and j + 1."""
+    mu = MeasureVariant.MU
+    return moment(j, mu) + (moment(j - 1, mu) + moment(j + 1, mu)) / 2
+
+
+def test_nu_is_one_plus_cosine_times_mu_through_3000():
+    assert all(moment(j, MeasureVariant.NU) == nu_from_mu(j) for j in range(-3000, 3001))
+
+
+@property_settings
+@given(
+    st.one_of(
+        st.integers(-(10**40), 10**40),
+        signed_quartic_sums().map(lambda drawn: drawn[0]),
+        signed_quartic_sums().map(lambda drawn: 4 * drawn[0]),
+    ),
+    st.integers(-1, 1),
+)
+def test_nu_is_one_plus_cosine_times_mu(j, shift):
+    # Near a signed sum of powers of 4 (times 4) the three MU moments are not all 0.
+    j += shift
+    assert moment(j, MeasureVariant.NU) == nu_from_mu(j)
+
+
 @property_settings
 @given(st.integers(1, 10**30))
 def test_decompose_index_lands_in_its_range(m):

@@ -191,6 +191,14 @@ def test_coefficient_refuses_overread():
         a.coefficient(-1)
 
 
+def test_valid_order_cannot_be_overwritten():
+    a = S([1, 2], 1)
+    with pytest.raises(AttributeError):
+        a.valid_order = 5
+    assert a.valid_order == 1
+    assert S([1], 5) / a == S([1, -2], 1)
+
+
 def test_padding_and_truncation_at_construction():
     assert len(S([1], 5).coefficients) == 6
     assert len(S([1, 2, 3, 4], 1).coefficients) == 2
