@@ -21,14 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class IndexOutOfRange(ValueError):
-    """Sequence evaluated before its first defined index."""
-
-
 def weight(n: int) -> int:
     """Alternating-geometric weight sequence 8, -24, 40, -88, ... from n = 4."""
     if n < 4:
-        raise IndexOutOfRange("weight sequence starts at n = 4")
+        raise ValueError("weight sequence starts at n = 4")
     return 8 + (((-2) ** (n - 4) - 1) // 3) * 32
 
 
@@ -39,7 +35,7 @@ _BACKBONE = [13]
 def backbone(i: int) -> int:
     """The i-th anchor integer, 13 + sum of weight(4 + v2(3t + 1)) over 1 <= t < i."""
     if i < 1:
-        raise IndexOutOfRange("backbone starts at i = 1")
+        raise ValueError("backbone starts at i = 1")
     table = _BACKBONE
     for t in range(len(table), i):
         x = 3 * t + 1
@@ -50,7 +46,7 @@ def backbone(i: int) -> int:
 def backbone_constant(i: int) -> int:
     """Scaled anchors: 3, then 3*backbone(t) and 3*(backbone(t) - 4) interleaved."""
     if i < 0:
-        raise IndexOutOfRange("constants start at i = 0")
+        raise ValueError("constants start at i = 0")
     if i == 0:
         return 3
     if i % 2:
@@ -65,7 +61,7 @@ def decompose_index(m: int) -> tuple[int, int]:
     a bijection onto that range.
     """
     if m < 1:
-        raise IndexOutOfRange("decomposition defined for m >= 1")
+        raise ValueError("decomposition defined for m >= 1")
     t = 3 * m - 1
     p = 0
     while t % 4 == 0:
@@ -91,7 +87,7 @@ def nonzero_alpha(m: int) -> Fraction:
 def alpha(j: int) -> Fraction:
     """Verblunsky parameter at index j; zero off the residue class 3 mod 4."""
     if j < 0:
-        raise IndexOutOfRange("parameters are indexed from 0")
+        raise ValueError("parameters are indexed from 0")
     if j % 4 != 3:
         return Fraction(0)
     return nonzero_alpha((j + 1) // 4)

@@ -1,15 +1,20 @@
 """Command-line interface emitting deterministic CSV/JSON tables.
 
 Exit codes: 0 success, 1 verification failure (a cross-check found a
-mismatch), 2 usage or input error.  Exact rationals are printed as
-num/den strings unless --float is given; floats use the shortest
-round-tripping decimal.  Identical invocations produce byte-identical
-output, and files are written atomically.  Throughout the package, a
-module imports another package module, or ``json``, at its top only when
-every use of the module needs it, and otherwise inside the function that
-uses it: a command loads only the code it runs, and the exact commands
-never load numpy.  Those imports run at call time, so each name is read
-from its module when the command runs.
+mismatch), 2 usage or input error.  The library signals bad input with
+``ValueError``, reading a series past its valid order raises
+``IndexError`` and assigning to a frozen record raises
+``AttributeError``, while ``main`` prints a ``ValueError`` as
+``error: <message>`` and exits 2.  Exact rationals are printed as num/den
+strings unless --float is given; floats use the shortest round-tripping
+decimal.
+Identical invocations produce byte-identical output, and files are
+written atomically.  Throughout the package, a module imports another
+package module, or ``json``, at its top only when every use of the
+module needs it, and otherwise inside the function that uses it: a
+command loads only the code it runs, and the exact commands never load
+numpy.  Those imports run at call time, so each name is read from its
+module when the command runs.
 
 A process (``python -m rieszwalk.cli`` or the installed ``rieszwalk``
 script) ends through ``run``, which flushes stdout and stderr and skips the
@@ -34,10 +39,6 @@ if TYPE_CHECKING:
     from .cmv import BandedUnitary
 
 DISCREPANCY_LIMIT = 1e-8
-
-
-class InputError(ValueError):
-    """Bad input that argparse cannot catch itself; exits with code 2."""
 
 
 def _csv_cell(value, use_float: bool) -> str:
@@ -101,7 +102,7 @@ def write_table(columns: list[str], rows: list[list], args) -> None:
             raise
     except OSError as exc:
         # An unwritable path is bad input (exit 2), not a failed cross-check.
-        raise InputError(
+        raise ValueError(
             f"cannot write output: {args.output}: {exc.strerror or exc}"
         ) from exc
 
@@ -119,24 +120,24 @@ def parse_coin_file(path: str) -> list[walk.CoinMatrix]:
         with open(path, "r") as handle:
             lines = handle.readlines()
     except OSError as exc:
-        raise InputError(f"cannot read coin file: {exc}") from exc
+        raise ValueError(f"cannot read coin file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         fields = line.split()
         if len(fields) != 4:
-            raise InputError(f"coin file line {lineno}: expected 4 entries")
+            raise ValueError(f"coin file line {lineno}: expected 4 entries")
         pairs = [f.split(",") for f in fields]
         for f, parts in zip(fields, pairs):
             if len(parts) != 2:
-                raise InputError(f"coin file line {lineno}: entry {f!r} is not re,im")
+                raise ValueError(f"coin file line {lineno}: entry {f!r} is not re,im")
         try:
             coins.append(walk.CoinMatrix(*(complex(float(x), float(y)) for x, y in pairs)))
         except ValueError as exc:  # an entry is not a number, or the coin is not unitary
-            raise InputError(f"coin file line {lineno}: {exc}") from exc
+            raise ValueError(f"coin file line {lineno}: {exc}") from exc
     if not coins:
-        raise InputError("coin file contains no coins")
+        raise ValueError("coin file contains no coins")
     return coins
 
 
@@ -149,7 +150,7 @@ def _walk_matrix(coin: str, dim: int) -> BandedUnitary:
         return walk.coined_walk_matrix(walk.HADAMARD_COIN, dim)
     if coin.startswith("file:"):
         return walk.coined_walk_matrix(parse_coin_file(coin[5:]), dim)
-    raise InputError(f"unknown coin {coin!r}")
+    raise ValueError(f"unknown coin {coin!r}")
 
 
 def _write_matrix(matrix: BandedUnitary, args) -> None:
@@ -247,7 +248,7 @@ def cmd_walk(args) -> int:
 def cmd_first_return(args) -> int:
     max_n = args.max
     if args.method in ("exact", "both") and args.coin != "riesz":
-        raise InputError("exact first-return amplitudes exist only for --coin riesz")
+        raise ValueError("exact first-return amplitudes exist only for --coin riesz")
     if args.method != "numeric":
         from .riesz import MeasureVariant, caratheodory_series
         from .schur import (

@@ -42,18 +42,6 @@ PERIOD = 8  # rows are classed by their residue mod PERIOD
 ALL_RESIDUES = (1 << PERIOD) - 1  # bit t stands for the rows r with r % PERIOD == t
 
 
-class CoefficientOutOfDisk(ValueError):
-    """A Verblunsky coefficient must have modulus strictly below 1."""
-
-
-class DimensionMismatch(ValueError):
-    """State vector length does not match the operator dimension."""
-
-
-class DimensionTooSmall(ValueError):
-    """Truncation too small for the requested number of exact steps."""
-
-
 def disk_point(value: AlphaLike) -> tuple[complex, float]:
     """A point of the open unit disk as (value, rho = sqrt(1 - |value|^2)).
 
@@ -63,14 +51,14 @@ def disk_point(value: AlphaLike) -> tuple[complex, float]:
     if isinstance(value, (Fraction, int)):
         n, d = value.numerator, value.denominator
         if abs(n) >= d:
-            raise CoefficientOutOfDisk(f"|{value}| >= 1")
+            raise ValueError(f"|{value}| >= 1")
         # Integer true division is correctly rounded, as Fraction -> float is.
         return complex(n / d), math.sqrt((d * d - n * n) / (d * d))
     z = complex(value)
     mag2 = z.real * z.real + z.imag * z.imag
     # Written so that NaN, which compares False, is rejected too.
     if not (mag2 < 1.0):
-        raise CoefficientOutOfDisk(f"{z} is not inside the unit disk")
+        raise ValueError(f"{z} is not inside the unit disk")
     return z, math.sqrt(1.0 - mag2)
 
 

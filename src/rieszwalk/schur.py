@@ -31,18 +31,6 @@ from typing import Sequence
 from .series import TruncatedSeries
 
 
-class ParameterOutOfDisk(ValueError):
-    """An extracted parameter has modulus >= 1.
-
-    Signals a finitely supported measure or corrupted input; the iteration
-    cannot continue either way.
-    """
-
-
-class PrecisionExhausted(ValueError):
-    """More series orders are needed than the input can vouch for."""
-
-
 class FirstReturnSeries:
     """Amplitudes of first return in exactly n steps, n = 1, 2, ...
 
@@ -180,10 +168,11 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
     if count < 0:
         raise ValueError("count must be >= 0")
     if F.valid_order < count + 1:
-        raise PrecisionExhausted(
+        raise ValueError(
             f"need valid_order >= {count + 1}, have {F.valid_order}"
         )
-    # Step k reads p[0] and q[0] after k index drops: count orders suffice.
+    # Step k reads p[0] and q[0] after k index drops, so the loop reads F
+    # through order count; the guard above asks for one order more.
     p, q = _fraction_free_start(F, count)
     out: list[Fraction] = []
     for start in range(0, count, _BLOCK):
@@ -193,7 +182,8 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
         for step in range(start, start + k):
             p0, q0 = head_p[0], head_q[0]
             if abs(p0) >= q0:
-                raise ParameterOutOfDisk(f"|alpha_{step}| >= 1")
+                # A finitely supported measure, or corrupt input: no step follows.
+                raise ValueError(f"|alpha_{step}| >= 1")
             alpha = Fraction(p0, q0)
             out.append(alpha)
             # With p0 = t*n, q0 = t*d and t = gcd(p0, q0) > 0, the new q0
@@ -234,7 +224,7 @@ def first_return_series(f: TruncatedSeries, max_n: int) -> FirstReturnSeries:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if max_n - 1 > f.valid_order:
-        raise PrecisionExhausted(
+        raise ValueError(
             f"step {max_n} needs order {max_n - 1}, valid through {f.valid_order}"
         )
     return FirstReturnSeries(tuple(f.coefficient(n - 1) for n in range(1, max_n + 1)))

@@ -22,10 +22,6 @@ from typing import Iterable, Sequence, Union
 CoefficientLike = Union[Fraction, int]
 
 
-class ZeroConstantTerm(ValueError):
-    """Division by a series whose constant term is zero or untrusted."""
-
-
 class TruncatedSeries:
     """Dense power series with coefficients trusted through ``valid_order``.
 
@@ -100,7 +96,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if other.valid_order < 0 or not other._coeffs[0]:
-            raise ZeroConstantTerm("divisor has no invertible constant term")
+            raise ValueError("divisor has no invertible constant term")
         order = min(self.valid_order, other.valid_order)
         a, b = self._coeffs[: order + 1], other._coeffs[: order + 1]
         l_a = math.lcm(*(c.denominator for c in a))

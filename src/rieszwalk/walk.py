@@ -18,18 +18,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .cmv import (
-    PERIOD,
-    BandedUnitary,
-    DimensionMismatch,
-    DimensionTooSmall,
-    apply_on_residues,
-    build_cmv,
-)
-
-
-class NonUnitaryCoin(ValueError):
-    """A coin matrix failed the unitarity check."""
+from .cmv import PERIOD, BandedUnitary, apply_on_residues, build_cmv
 
 
 class CoinMatrix:
@@ -46,7 +35,7 @@ class CoinMatrix:
         err = self.unitarity_error()
         # Written so that a NaN error (a non-finite entry) is rejected too.
         if not (err <= 1e-12):
-            raise NonUnitaryCoin(f"coin is not unitary (error {err:.3g})")
+            raise ValueError(f"coin is not unitary (error {err:.3g})")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: CoinMatrix is immutable")
@@ -149,7 +138,7 @@ def _steps(M: BandedUnitary, amplitudes: np.ndarray, steps: int) -> Iterator[np.
         raise ValueError("steps must be >= 0")
     v = np.asarray(amplitudes, dtype=complex)
     if v.shape != (M.dimension,):
-        raise DimensionMismatch(
+        raise ValueError(
             f"state length {v.shape[0] if v.ndim == 1 else v.shape} "
             f"!= dimension {M.dimension}"
         )
@@ -157,7 +146,7 @@ def _steps(M: BandedUnitary, amplitudes: np.ndarray, steps: int) -> Iterator[np.
     high = int(nonzero[-1]) if nonzero.size else 0
     needed = (high | 1) + 2 * steps
     if M.dimension < needed:
-        raise DimensionTooSmall(
+        raise ValueError(
             f"{steps} steps from support <= {high} need dimension >= {needed}, "
             f"have {M.dimension}"
         )

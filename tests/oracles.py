@@ -60,13 +60,10 @@ from rieszwalk.cmv import (
     PERIOD,
     AlphaLike,
     BandedUnitary,
-    CoefficientOutOfDisk,
-    DimensionMismatch,
-    DimensionTooSmall,
     Entry,
     apply_on_residues,
 )
-from rieszwalk.series import CoefficientLike, TruncatedSeries, ZeroConstantTerm
+from rieszwalk.series import CoefficientLike, TruncatedSeries
 from rieszwalk.walk import CoinMatrix
 
 
@@ -173,7 +170,7 @@ def divide(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     next order reads it.
     """
     if y.valid_order < 0 or not y.coefficients[0]:
-        raise ZeroConstantTerm("divisor has no invertible constant term")
+        raise ValueError("divisor has no invertible constant term")
     b0 = y.coefficients[0]
     terms = _nonzero_terms(y.coefficients)[1:]
     order = min(x.valid_order, y.valid_order)
@@ -317,13 +314,13 @@ def disk_point_by_fraction(value: AlphaLike) -> tuple[complex, float]:
     """``cmv.disk_point`` with the complement 1 - value^2 formed as a Fraction."""
     if isinstance(value, (Fraction, int)):
         if abs(value) >= 1:
-            raise CoefficientOutOfDisk(f"|{value}| >= 1")
+            raise ValueError(f"|{value}| >= 1")
         return complex(value), math.sqrt(1 - value * value)
     z = complex(value)
     mag2 = z.real * z.real + z.imag * z.imag
     # Written so that NaN, which compares False, is rejected too.
     if not (mag2 < 1.0):
-        raise CoefficientOutOfDisk(f"{z} is not inside the unit disk")
+        raise ValueError(f"{z} is not inside the unit disk")
     return z, math.sqrt(1.0 - mag2)
 
 
@@ -382,7 +379,7 @@ def apply_full_length(state: Sequence[complex], M: BandedUnitary) -> np.ndarray:
     v = np.asarray(state, dtype=complex)
     n = M.dimension
     if v.shape != (n,):
-        raise DimensionMismatch(f"state has shape {v.shape}, operator dimension {n}")
+        raise ValueError(f"state has shape {v.shape}, operator dimension {n}")
     out = np.zeros(n, dtype=complex)
     for o in range(-2, 3):
         band = M.bands[o + 2]
@@ -421,7 +418,7 @@ def spectral_moments(M: BandedUnitary, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     if M.dimension < 2 * n + 3:
-        raise DimensionTooSmall(
+        raise ValueError(
             f"moments through {n} need dimension >= {2 * n + 3}, have {M.dimension}"
         )
     v = np.zeros(M.dimension, dtype=complex)

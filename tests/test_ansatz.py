@@ -6,7 +6,6 @@ import pytest
 from expected_values import BACKBONE_17, COUNTS_AT_40, NONZERO_PARAMS_36
 from oracles import OutOfDomain, alpha_from_offsets, progression_contains
 from rieszwalk.ansatz import (
-    IndexOutOfRange,
     alpha,
     backbone,
     backbone_constant,
@@ -61,7 +60,7 @@ def test_weight_first_differences():
 
 
 def test_weight_before_start():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="weight sequence starts at n = 4"):
         weight(3)
 
 
@@ -108,7 +107,7 @@ def test_backbone_list():
 
 
 def test_backbone_before_start():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="backbone starts at i = 1"):
         backbone(0)
 
 
@@ -136,7 +135,7 @@ def test_decompose_bijection_prefix():
 
 
 def test_decompose_rejects_nonpositive():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="decomposition defined for m >= 1"):
         decompose_index(0)
 
 

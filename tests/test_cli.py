@@ -330,6 +330,21 @@ def test_cmv_hadamard_dumps_the_cmv_operator(capsys):
     assert rows != as_rows(coined_walk_matrix(HADAMARD_COIN, 6))
 
 
+@pytest.mark.parametrize(
+    "coin,dim,floor",
+    [(coin, dim, 2) for coin in ("riesz", "hadamard") for dim in ("1", "0", "-3")]
+    + [("file", "3", 4)],
+)
+def test_cmv_below_the_builders_floor(capsys, tmp_path, coin, dim, floor):
+    # The CMV builder needs two rows, the coined builder two sites.
+    if coin == "file":
+        path = tmp_path / "coins.txt"
+        path.write_text(HADAMARD_LINE * 2)
+        coin = f"file:{path}"
+    result = run(capsys, "cmv", "--coin", coin, "--dim", dim)
+    assert result == (2, "", f"error: dim must be >= {floor}\n")
+
+
 # -- coin files ----------------------------------------------------------------------------
 
 

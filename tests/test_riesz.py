@@ -78,7 +78,7 @@ def test_digit_negative_flips_signs():
 
 
 def test_digit_zero_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^j = 0 has no expansion"):
         signed_quartic_digits(0)
 
 
@@ -167,5 +167,5 @@ def test_caratheodory_nu_order_5():
 
 
 def test_caratheodory_rejects_negative_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_order must be >= 0$"):
         caratheodory_series(-1, MU)

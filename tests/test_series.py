@@ -6,7 +6,7 @@ import pytest
 from oracles import add, divide, mul, reciprocal, substitute_quartic
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import _fraction_free_start
-from rieszwalk.series import TruncatedSeries, ZeroConstantTerm
+from rieszwalk.series import TruncatedSeries
 
 
 def S(coeffs, order):
@@ -52,7 +52,7 @@ def test_kernel_matches_oracle_on_generated_series():
     @given(series(), series())
     def check(a, b):
         if b.valid_order < 0 or not b.coefficients[0]:
-            with pytest.raises(ZeroConstantTerm):
+            with pytest.raises(ValueError, match="divisor has no invertible constant term"):
                 a / b
             return
         quotient = a / b
@@ -160,11 +160,11 @@ def test_reciprocal_long_division():
 
 
 def test_reciprocal_zero_constant_raises():
-    with pytest.raises(ZeroConstantTerm):
+    with pytest.raises(ValueError, match="divisor has no invertible constant term"):
         S([1], 4) / S([0, 1], 4)
-    with pytest.raises(ZeroConstantTerm):
+    with pytest.raises(ValueError, match="divisor has no invertible constant term"):
         S([1], 4) / S([], -1)
-    with pytest.raises(ZeroConstantTerm):
+    with pytest.raises(ValueError, match="divisor has no invertible constant term"):
         S([], -1) / S([0, 1], 4)
 
 
