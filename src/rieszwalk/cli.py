@@ -62,7 +62,14 @@ def write_table(columns: list[str], rows: list[list], args) -> None:
     use_float = args.float
     if args.format == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_csv_cell(v, use_float) for v in row) for row in rows)
+        # _csv_cell differs from str only for a Fraction or a bool, and
+        # type() keeps a bool, an int subclass, off the str path.
+        lines.extend(
+            ",".join(
+                [str(v) if type(v) in (int, float) else _csv_cell(v, use_float) for v in row]
+            )
+            for row in rows
+        )
         text = "\n".join(lines) + "\n"
     else:
         import json

@@ -20,6 +20,8 @@ import numpy as np
 
 from .cmv import PERIOD, BandedUnitary, apply_on_residues, build_cmv
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float, 2 ** -1022
+
 
 class CoinMatrix:
     """A 2x2 coin, unitary to within 1e-12; construction rejects any other.
@@ -133,7 +135,8 @@ class PositionDistribution(NamedTuple):
 
 def _steps(M: BandedUnitary, amplitudes: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """``trajectory`` over bare arrays.  Each step reads the array the last one
-    yielded, so an edit to it between steps carries forward."""
+    yielded, so an edit to it between steps carries forward; an edit may
+    zero entries, but not make one non-zero above the highest non-zero one."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     v = np.asarray(amplitudes, dtype=complex)
@@ -151,9 +154,19 @@ def _steps(M: BandedUnitary, amplitudes: np.ndarray, steps: int) -> Iterator[np.
             f"have {M.dimension}"
         )
     residues = sum(1 << t for t in set((nonzero % PERIOD).tolist()))
-    for step in range(1, steps + 1):
-        # Before this step the state is zero from index high + 2 * step - 1 on.
-        v, residues = apply_on_residues(v, M, high + 2 * step - 1, residues)
+    # The state is zero from index top on.  A step raises top by two (the
+    # light cone, capped at the dimension); the flush then lowers it past
+    # the run of entries below tiny at the top.
+    top = high + 1
+    for _ in range(steps):
+        v, residues = apply_on_residues(v, M, top, residues)
+        top = min(top + 2, M.dimension)
+        while top:
+            z = v.item(top - 1)
+            if not (abs(z.real) < _TINY and abs(z.imag) < _TINY):
+                break
+            v[top - 1] *= 0.0  # an exact zero keeps its sign
+            top -= 1
         yield v
 
 
@@ -165,13 +178,27 @@ def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[Wal
     index and one from an odd index, so a state whose highest non-zero index
     is ``high`` needs dimension ``(high | 1) + 2 * steps``, which is
     ``2 * steps + 1`` from the origin.  At it every state is bit for bit a
-    larger truncation's prefix.  Each step passes that light cone to
-    ``cmv.apply_on_residues`` as its ``support`` promise, with the residues
-    mod ``PERIOD`` at which the state can be non-zero: taken from the initial
-    state's non-zero indices, then carried through the operator's plans,
-    which read the zero pattern from its bands.  So a step reads only the
-    rows the walk can have reached and the band entries it can meet there,
-    with bit-identical results.
+    larger truncation's prefix.
+
+    After each step the sub-normal front is flushed: from the top of the
+    light cone down, every entry whose real and imaginary parts are both
+    below ``np.finfo(float).tiny`` is multiplied by 0.0, up to the first
+    entry that is not; entries below that one are never touched.  These are
+    rounding debris (the Hadamard walk's exact front after k steps is
+    2 ** (-k / 2), and it leaves such a run from step 2044 on).  A
+    sub-normal added to a part of modulus at least 2 ** -969 leaves it
+    unchanged, so the flush moves only the debris and the last bits of
+    amplitudes near it (below 2 ** -956 after 4000 Hadamard steps), all of
+    whose squares are zero: no norm or site probability moves, and
+    stepping the debris would only be slow.
+
+    Each step passes the flushed top to ``cmv.apply_on_residues`` as its
+    ``support`` promise, with the residues mod ``PERIOD`` at which the state
+    can be non-zero: taken from the initial state's non-zero indices, then
+    carried through the operator's plans, which read the zero pattern from
+    its bands.  So a step reads only the rows the walk can have reached and
+    the band entries it can meet there, with results bit for bit those of
+    stepping over the full dimension and flushing the same run.
     """
     return map(WalkState, _steps(M, initial.amplitudes, steps))
 

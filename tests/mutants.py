@@ -77,10 +77,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # The top grows by one a step, so the second step's promise is
+        # one short, and the flush lowers it further past the zeros.
         "trajectory-support-one-short",
         WALK,
-        "high + 2 * step - 1, residues)",
-        "high + 2 * step - 2, residues)",
+        "top = min(top + 2, M.dimension)",
+        "top = min(top + 1, M.dimension)",
         (
             "tests/test_walk.py::test_trajectory_matches_full_length_stepping_bitwise",
             "tests/test_walk.py::test_evolution_norm_and_support",
@@ -92,13 +94,35 @@ MUTANTS = (
         # this edit makes the support promise 2n before step n + 1.
         "first-return-support-2n",
         WALK,
-        "high + 2 * step - 1, residues)",
-        "2 * step - 2, residues)",
+        "top = high + 1",
+        "top = 0",
         (
             "tests/test_walk.py::test_first_return_matches_numpy_scalar_renewal_bitwise",
             "tests/test_walk.py::test_first_return_riesz_values",
             "tests/test_cli.py::test_first_return_both_passes",
             "tests/test_acceptance.py::test_criterion_07_first_return_oracle_triangle",
+        ),
+    ),
+    Mutant(
+        # Normal amplitudes down to 1e-200 are flushed with the debris.
+        "flush-threshold-raised",
+        WALK,
+        "_TINY = float(np.finfo(float).tiny)",
+        "_TINY = 1e-200",
+        (
+            "tests/test_walk.py::test_hadamard_sub_normal_front_is_flushed_without_moving_a_printed_bit",
+        ),
+    ),
+    Mutant(
+        # The entry that ends the run is flushed too.
+        "flush-trims-one-past-the-run",
+        WALK,
+        "                break\n",
+        "                v[top - 1] *= 0.0\n                break\n",
+        (
+            "tests/test_walk.py::test_hadamard_sub_normal_front_is_flushed_without_moving_a_printed_bit",
+            "tests/test_walk.py::test_trajectory_matches_full_length_stepping_bitwise",
+            "tests/test_cli.py::test_walk_norm_trace",
         ),
     ),
     Mutant(

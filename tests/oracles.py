@@ -34,12 +34,16 @@ exists to check a production route by a second, unrelated one:
   ``cmv`` and ``walk`` routines (Fraction complement, one entry at a time
   through ``from_entries``, every band over the full dimension), against
   which the production ones are held bit for bit;
+* ``flush_front``: the rule ``walk.trajectory`` applies after each step,
+  stated over the whole array, so that ``apply_full_length`` followed by it
+  is the oracle for a step of the walk;
 * ``cmv_from_theta``: the CMV matrix as the product L M of 2x2 blocks,
   against ``cmv.build_cmv``;
 * ``spectral_moments``: the return amplitudes (M^n)[0, 0], stepped on the
   light cone, against the exact moments;
 * ``first_return_full_length`` and ``first_return_by_renewal``: the walk
-  killed at the origin stepped over the full dimension, and the renewal
+  killed at the origin stepped over the full dimension (with
+  ``flush_front`` after each step), and the renewal
   recursion over ``spectral_moments``, against ``walk.first_return_numeric``;
 * ``hadamard_first_return``: the Hadamard walk's first-return amplitudes in
   closed form, against ``walk.first_return_numeric`` on both Hadamard
@@ -222,10 +226,6 @@ def progression_contains(j: int, t: int) -> bool:
 # -- the offset recipe ------------------------------------------------------------
 
 
-class OutOfDomain(ValueError):
-    """The offset recipe does not cover this index."""
-
-
 OFFSET_NUMERATORS = {3: 1, 7: -1, 11: -3, 15: -1, 19: 1, 23: -1}
 OFFSET_SHIFTS = {3: 1, 7: 2, 11: -1, 15: -4, 19: -3, 23: -2}
 
@@ -237,7 +237,7 @@ def alpha_from_offsets(j: int) -> Fraction:
     parameters predate the first anchor and come from the closed form.
     """
     if j < 15 or j % 4 != 3:
-        raise OutOfDomain(f"offset recipe covers j >= 15 with j = 3 mod 4, not {j}")
+        raise ValueError(f"offset recipe covers j >= 15 with j = 3 mod 4, not {j}")
     p = (j + 17) // 32
     off = j - 16 * (2 * p - 1)
     a_p = backbone(p)
@@ -390,6 +390,23 @@ def apply_full_length(state: Sequence[complex], M: BandedUnitary) -> np.ndarray:
     return out
 
 
+def flush_front(state: np.ndarray) -> np.ndarray:
+    """A copy of ``state`` in which the trailing run of entries whose real
+    and imaginary parts both lie below the smallest normal float is
+    multiplied by 0.0.
+
+    The run ends at the array's last entry and takes in exact zeros, so it
+    starts after the last entry with a part of modulus at least
+    ``np.finfo(float).tiny`` (or a NaN part); no entry before it changes.
+    """
+    tiny = np.finfo(float).tiny
+    small = (np.abs(state.real) < tiny) & (np.abs(state.imag) < tiny)
+    kept = np.flatnonzero(~small)
+    out = state.copy()
+    out[kept[-1] + 1 if kept.size else 0 :] *= 0.0
+    return out
+
+
 def cmv_from_theta(alphas: Sequence[complex], dim: int) -> np.ndarray:
     """Leading dim x dim block of the CMV matrix C = L M, built densely.
 
@@ -437,7 +454,7 @@ def first_return_full_length(M: BandedUnitary, max_n: int) -> np.ndarray:
     v[0] = 1.0
     a = np.zeros(max_n, dtype=complex)
     for n in range(max_n):
-        v = apply_full_length(v, M)
+        v = flush_front(apply_full_length(v, M))
         a[n] = v[0]
         v[0] = 0
     return a

@@ -4,7 +4,7 @@ from itertools import count
 import pytest
 
 from expected_values import BACKBONE_17, COUNTS_AT_40, NONZERO_PARAMS_36
-from oracles import OutOfDomain, alpha_from_offsets, progression_contains
+from oracles import alpha_from_offsets, progression_contains
 from rieszwalk.ansatz import (
     alpha,
     backbone,
@@ -168,11 +168,10 @@ def test_offsets_examples(j, expected):
 
 
 def test_offsets_out_of_domain():
-    for j in (3, 7, 11):
-        with pytest.raises(OutOfDomain):
+    for j in (3, 7, 11, 16):
+        message = f"^offset recipe covers j >= 15 with j = 3 mod 4, not {j}$"
+        with pytest.raises(ValueError, match=message):
             alpha_from_offsets(j)
-    with pytest.raises(OutOfDomain):
-        alpha_from_offsets(16)
 
 
 def test_offsets_agree_with_closed_form():

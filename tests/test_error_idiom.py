@@ -1,16 +1,18 @@
-"""The package signals bad input with plain ``ValueError``.
+"""The package and its tests signal bad input with plain ``ValueError``.
 
 Every error on the CLI's path ends in the one ``except ValueError`` of
 ``cli.main``, and no caller tells one kind of bad input from another, so
-``src/rieszwalk`` defines no exception class of its own.  The check reads the
-source with ``ast`` and imports nothing.
+neither ``src/rieszwalk`` nor the test modules and oracles in ``tests``
+define an exception class of their own; a test names an error by its
+message.  The check reads the source with ``ast`` and imports nothing.
 """
 
 import ast
 import builtins
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rieszwalk"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "rieszwalk"
 
 BUILTIN_EXCEPTIONS = {
     name
@@ -58,6 +60,12 @@ def exception_classes(sources: dict[str, str]) -> list[str]:
 def test_package_defines_no_exception_class():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert "cli" in sources and "walk" in sources
+    assert exception_classes(sources) == []
+
+
+def test_tests_define_no_exception_class():
+    sources = {path.stem: path.read_text() for path in sorted(TESTS.glob("*.py"))}
+    assert "oracles" in sources and "test_walk" in sources
     assert exception_classes(sources) == []
 
 

@@ -11,6 +11,7 @@ from oracles import (
     apply_full_length,
     coined_walk_matrix_by_entry,
     first_return_full_length,
+    flush_front,
     from_entries,
     residue_rows,
     spectral_moments,
@@ -126,7 +127,7 @@ def steps_bitwise_like_full_length(M: BandedUnitary, head: list, steps: int) -> 
     v = np.zeros(M.dimension, dtype=complex)
     v[: len(head)] = head
     for state in trajectory(M, WalkState(v), steps):
-        v = apply_full_length(v, M)
+        v = flush_front(apply_full_length(v, M))
         if state.amplitudes.tobytes() != v.tobytes():
             return False
     return True

@@ -10,6 +10,7 @@ from oracles import (
     dense,
     first_return_by_renewal,
     first_return_full_length,
+    flush_front,
     hadamard_first_return,
     residue_rows,
     spectral_moments,
@@ -31,6 +32,7 @@ from rieszwalk.walk import (
 )
 
 R = 1 / math.sqrt(2)
+TINY = np.finfo(float).tiny  # the smallest normal float, 2 ** -1022
 
 
 def guard_message(steps: int, high: int, needed: int, have: int) -> str:
@@ -45,10 +47,6 @@ def random_coin(seed: int) -> CoinMatrix:
     return CoinMatrix(*(complex(x) for x in q.ravel()))
 
 
-class ZeroCoin(ValueError):
-    """The constant-coin closed form degenerates for a vanishing coin entry."""
-
-
 def constant_coin_schur_coeffs(a: complex, max_order: int) -> np.ndarray:
     """Taylor coefficients of the constant-coin Schur function.
 
@@ -59,7 +57,7 @@ def constant_coin_schur_coeffs(a: complex, max_order: int) -> np.ndarray:
     against.
     """
     if a == 0:
-        raise ZeroCoin("constant coin parameter must be non-zero")
+        raise ValueError("constant coin parameter must be non-zero")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     n_orders = max_order + 3
@@ -298,7 +296,7 @@ def test_trajectory_matches_full_length_stepping_bitwise(walk):
         matrix = coined_walk_matrix(coin, dim)
     v = WalkState.origin_up(dim).amplitudes
     for state in trajectory(matrix, WalkState.origin_up(dim), 400):
-        v = apply_full_length(v, matrix)
+        v = flush_front(apply_full_length(v, matrix))
         assert state.amplitudes.tobytes() == v.tobytes()
 
 
@@ -307,8 +305,38 @@ def test_trajectory_from_a_spread_state_matches_full_length_stepping_bitwise():
     v = np.zeros(120, dtype=complex)
     v[3:30] = np.random.default_rng(6).normal(size=27)
     for state in trajectory(matrix, WalkState(v), 40):
-        v = apply_full_length(v, matrix)
+        v = flush_front(apply_full_length(v, matrix))
         assert state.amplitudes.tobytes() == v.tobytes()
+
+
+def test_hadamard_sub_normal_front_is_flushed_without_moving_a_printed_bit():
+    # The exact front amplitude after n Hadamard steps is 2 ** (-n / 2), but
+    # from step 2044 on unflushed stepping leaves a growing run of sub-normal
+    # rounding debris at the top of the support instead.  Each step flushes
+    # only that run, and against unflushed stepping the norms, the
+    # distribution and every amplitude far from the sub-normal range keep
+    # every bit.
+    steps = 2400
+    dim = 2 * steps + 8
+    matrix = coined_walk_matrix(HADAMARD_COIN, dim)
+    start = WalkState.origin_up(dim)
+    got = unflushed = start.amplitudes
+    for state in trajectory(matrix, start, steps):
+        stepped = apply_full_length(got, matrix)
+        got, unflushed = state.amplitudes, apply_full_length(unflushed, matrix)
+        assert got.tobytes() == flush_front(stepped).tobytes()
+        front = got[np.flatnonzero(got)[-1]]
+        assert max(abs(front.real), abs(front.imag)) >= TINY
+        assert state.norm() == WalkState(unflushed).norm()
+        large = np.abs(unflushed) >= 2.0**-960
+        assert got[large].tobytes() == unflushed[large].tobytes()
+    debris = (got == 0) & (unflushed != 0)
+    assert np.count_nonzero(debris) > 50
+    assert np.all(np.abs(unflushed[debris].real) < TINY)
+    assert (
+        position_distribution(state).probabilities.tobytes()
+        == position_distribution(WalkState(unflushed)).probabilities.tobytes()
+    )
 
 
 def test_hadamard_main_diagonal_span_is_the_origin():
@@ -534,7 +562,7 @@ def test_coined_walk_is_rotated_constant_coin():
 
 
 def test_constant_coin_zero_rejected():
-    with pytest.raises(ZeroCoin):
+    with pytest.raises(ValueError, match="^constant coin parameter must be non-zero$"):
         constant_coin_schur_coeffs(0, 10)
 
 
