@@ -17,9 +17,10 @@ numpy.  Those imports run at call time, so each name is read from its
 module when the command runs.
 
 A process (``python -m rieszwalk.cli`` or the installed ``rieszwalk``
-script) ends through ``run``, which flushes stdout and stderr and skips the
-interpreter's teardown (tens of milliseconds with numpy loaded); a failed
-flush still exits non-zero.  ``main`` returns its exit code and leaves the
+script) runs through ``run``, which sets OpenBLAS to one thread before
+numpy loads, flushes stdout and stderr and skips the interpreter's
+teardown (tens of milliseconds with numpy loaded); a failed flush still
+exits non-zero.  ``main`` returns its exit code and leaves the
 interpreter running, for tests and other in-process callers.
 """
 
@@ -41,9 +42,20 @@ if TYPE_CHECKING:
 DISCREPANCY_LIMIT = 1e-8
 
 
+def _fraction_str(value: Fraction) -> str:
+    """str(value), also for integers past the interpreter's 4300-digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # fractions imports decimal, whose str has no such limit
+        from decimal import Decimal
+
+        n, d = (str(Decimal(x)) for x in value.as_integer_ratio())
+        return n if d == "1" else f"{n}/{d}"
+
+
 def _csv_cell(value, use_float: bool) -> str:
     if isinstance(value, Fraction):
-        return repr(float(value)) if use_float else str(value)
+        return repr(float(value)) if use_float else _fraction_str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -51,7 +63,7 @@ def _csv_cell(value, use_float: bool) -> str:
 
 def _json_cell(value, use_float: bool):
     if isinstance(value, Fraction):
-        return float(value) if use_float else str(value)
+        return float(value) if use_float else _fraction_str(value)
     if isinstance(value, complex):
         return repr(value)
     return value
@@ -396,8 +408,11 @@ def run() -> int:
     If a flush fails (stdout on a full device), the code is returned instead,
     so that the interpreter's own exit reports the failure and ends the
     process non-zero.  An exception or ``SystemExit`` out of ``main`` passes
-    through unchanged.
+    through unchanged.  OpenBLAS, loaded with numpy, runs on one thread
+    whatever the caller's ``OPENBLAS_NUM_THREADS``: a threaded dot product
+    rounds differently, and a norm trace's bytes would depend on it.
     """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     try:
         sys.stdout.flush()

@@ -1,13 +1,14 @@
 """Schur algorithm with exact precision accounting.
 
-Writes the Schur function f = (F - 1) / (z (F + 1)) of a Caratheodory
-series F once, as an integer numerator/denominator pair
-(``_fraction_free_start``).  ``extract_verblunsky`` steps that pair, one
-Verblunsky parameter per step; ``schur_from_caratheodory`` divides it into
-the series f, whose Taylor coefficients are the first-return amplitudes
-(``first_return_series``).  ``renewal_first_return`` computes the same
-amplitudes from the moments alone, without the Schur formula or the n-1
-offset but with the same series division; the CLI never calls it, and the
+The Schur function f = (F - 1) / (z (F + 1)) of a Caratheodory series F
+is read two ways.  ``extract_verblunsky`` writes it once as an integer
+numerator/denominator pair (``_fraction_free_start``) and steps that pair,
+one Verblunsky parameter per step.  ``schur_from_caratheodory`` expands f
+itself, whose Taylor coefficients are the first-return amplitudes
+(``first_return_series``): with R = (F + 1)/2 the moment series,
+f = (1 - 1/R)/z, one series reciprocal.  ``renewal_first_return``
+computes the same amplitudes from the moments alone, as 1 - 1/r, without
+the Schur formula or the n-1 offset; the CLI never calls it, and the
 tests, those of the benchmark's output checks included, use it as an
 oracle.
 
@@ -57,15 +58,19 @@ class FirstReturnSeries:
         raise AttributeError(f"cannot delete {name!r}: FirstReturnSeries is immutable")
 
 
+def _check_unit_constant(F: TruncatedSeries) -> None:
+    """F_0 must be 1, or f is not a Schur function."""
+    if F.valid_order < 0 or F.coefficient(0) != 1:
+        raise ValueError("Caratheodory series must have constant term 1")
+
+
 def _fraction_free_start(F: TruncatedSeries, length: int) -> tuple[list[int], list[int]]:
     """Integer numerator/denominator polynomials of f through ``length`` orders.
 
     f = (F - 1) / (z (F + 1)), so p holds F_1..F_length and q holds
     F_0 + 1, F_1..F_(length-1), both scaled by one common denominator.
-    F_0 must be 1, or f is not a Schur function.
     """
-    if F.valid_order < 0 or F.coefficient(0) != 1:
-        raise ValueError("Caratheodory series must have constant term 1")
+    _check_unit_constant(F)
     coefficients = [F.coefficient(k) for k in range(length + 1)]
     coefficients[0] += 1
     scale = math.lcm(*(c.denominator for c in coefficients))
@@ -76,15 +81,13 @@ def _fraction_free_start(F: TruncatedSeries, length: int) -> tuple[list[int], li
 def schur_from_caratheodory(F: TruncatedSeries) -> TruncatedSeries:
     """Schur function f = (F - 1) / (z (F + 1)); valid order drops by one.
 
-    One series division of ``_fraction_free_start``'s integer pair, the
-    start of ``extract_verblunsky`` too.  With only F_0 trusted, no order
-    of f is, and the result is the empty series.
+    With R = (F + 1)/2, f = (1 - 1/R)/z, so f_k = -(1/R)_(k+1): one
+    reciprocal of R, read through F's valid order.  With only F_0 trusted,
+    no order of f is, and the result is the empty series.
     """
-    n = F.valid_order
-    p, q = _fraction_free_start(F, n)
-    if n == 0:
-        return TruncatedSeries([], -1)
-    return TruncatedSeries(p, n - 1) / TruncatedSeries(q, n - 1)
+    _check_unit_constant(F)
+    R = TruncatedSeries([1, *(c / 2 for c in F.coefficients[1:])], F.valid_order)
+    return TruncatedSeries([-c for c in R.reciprocal().coefficients[1:]], F.valid_order - 1)
 
 
 # extract_verblunsky divides the integer content out of its polynomials once
@@ -236,10 +239,11 @@ def renewal_first_return(
     """First-return amplitudes from the moment sequence alone.
 
     With r(z) = sum_n moments[n] z^n the first-return generating series is
-    1 - 1/r(z).  Its input is the moments alone, so it checks the Schur
-    formula and the n-1 offset; it shares the series division, which the
-    ``mul``/``reciprocal`` of ``tests/oracles.py`` and the F_p recursion of
-    ``bench/checks.py`` check independently.
+    1 - 1/r(z) (the renewal identity).  Its input is the moments alone, so
+    it checks the Schur formula and the n-1 offset; it shares
+    ``TruncatedSeries.reciprocal``, which the ``reciprocal``/``divide`` of
+    ``tests/oracles.py`` and the F_p recursion of ``bench/checks.py`` check
+    independently.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -247,9 +251,7 @@ def renewal_first_return(
         raise ValueError(f"need {max_n + 1} moments, got {len(moments)}")
     if Fraction(moments[0]) != 1:
         raise ValueError("zeroth moment must be 1")
-    r = TruncatedSeries(moments[: max_n + 1], max_n)
-    inverse = TruncatedSeries([1], max_n) / r
-    # 1 - 1/r(z) has constant term 0 and the negated coefficients of 1/r above it.
+    inverse = TruncatedSeries(moments[: max_n + 1], max_n).reciprocal()
     return FirstReturnSeries(tuple(-c for c in inverse.coefficients[1:]))
 
 

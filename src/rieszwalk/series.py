@@ -1,16 +1,12 @@
 """Truncated formal power series over exact rationals.
 
 Every series carries an explicit ``valid_order``: the highest order whose
-coefficient is trustworthy.  Operations never read a coefficient beyond the
-valid order of their inputs, and the ledger has one rule: a quotient is
-trusted through the lower of its inputs' valid orders.
-This explicit ledger exists because the Verblunsky extraction loop loses
-exactly one trustworthy order per step, and silently reading past the valid
-order is the main correctness hazard of the whole computation.
-
-Coefficients are ``fractions.Fraction`` throughout; arithmetic is exact.
-Division scales its inputs once to integers and stays in integers until it
-reduces each quotient coefficient, once, to a ``Fraction``.
+coefficient is trustworthy.  Operations never read a coefficient beyond
+it, and the one operation, ``reciprocal``, is trusted through its input's
+valid order.  This explicit ledger exists because the Verblunsky
+extraction loop loses exactly one trustworthy order per step, and silently
+reading past the valid order is the main correctness hazard of the whole
+computation.  Coefficients are ``fractions.Fraction``; arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -58,9 +54,7 @@ class TruncatedSeries:
         if order < 0:
             raise IndexError("negative order")
         if order > self.valid_order:
-            raise IndexError(
-                f"order {order} beyond valid_order {self.valid_order}"
-            )
+            raise IndexError(f"order {order} beyond valid_order {self.valid_order}")
         return self._coeffs[order]
 
     def __eq__(self, other: object) -> bool:
@@ -73,53 +67,41 @@ class TruncatedSeries:
         tail = ", ..." if len(self._coeffs) > 6 else ""
         return f"TruncatedSeries([{head}{tail}], valid_order={self.valid_order})"
 
-    # -- ring operations ----------------------------------------------------
+    def reciprocal(self) -> "TruncatedSeries":
+        """1/R through R's valid order; R_0 must be 1.
 
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Quotient through the common valid order, by a fraction-free recurrence.
-
-        With a and b scaled once to integer lists A = a l_A and B = b l_B
-        (l_A, l_B the lcm of their denominators), the integers
-        H_n = B_0^n A_n - sum_(i>=1) B_i B_0^(i-1) H_(n-i) satisfy
-        H_n = B_0^(n+1) (A/B)_n, so the quotient's order-n coefficient is
-        H_n l_B / (B_0^(n+1) l_A), reduced once.  H_n reads a and b only up to
-        order n, so every output order is as trustworthy as both inputs.
-        Each multiplier B_i B_0^(i-1) is kept as ``odd << e``, so a power of
-        two in it costs a shift.
-
-        The integers grow like (B_0 l_B)^n.  That suits divisors whose scaled
-        constant term is a power of two, like the integer start of a Riesz
-        Caratheodory series or a moment series with dyadic denominators, but
-        not general rationals, whose denominators keep growing through a
-        chain of divisions.
+        With c = (lcm of the odd parts of R's denominators d_i) << e, where
+        e = max_i ceil(v_2(d_i) / i), each W_i = c^i R_i is an integer, and so
+        are the coefficients of 1/R(cz): U_0 = 1, U_n = -sum_(i>=1) W_i U_(n-i).
+        (1/R)_n = U_n / c^n, reduced once, reads R only up to order n.  Each
+        W_i is kept as ``odd << s``, so a power of two in it costs a shift;
+        for the Riesz moment series c = 2 and every odd part is 1.
         """
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if other.valid_order < 0 or not other._coeffs[0]:
-            raise ValueError("divisor has no invertible constant term")
-        order = min(self.valid_order, other.valid_order)
-        a, b = self._coeffs[: order + 1], other._coeffs[: order + 1]
-        l_a = math.lcm(*(c.denominator for c in a))
-        l_b = math.lcm(*(c.denominator for c in b))
-        A = [c.numerator * (l_a // c.denominator) for c in a]
-        B = [c.numerator * (l_b // c.denominator) for c in b]
-        terms = []  # (i, odd, e) with odd << e == B_i B_0^(i-1), for B_i != 0
-        power = 1
-        for i, c in enumerate(B[1:], 1):
-            if c:
-                c *= power
-                e = (c & -c).bit_length() - 1
-                terms.append((i, c >> e, e))
-            power *= B[0]
-        out, h = [], []
-        power = 1
-        for n, c in enumerate(A):
-            total = c * power
-            for i, odd, e in terms:
+        r = self._coeffs
+        if not r or r[0] != 1:
+            raise ValueError("reciprocal needs constant term 1")
+        dens = [x.denominator for x in r[1:]]
+        odd = math.lcm(*(d >> _twos(d) for d in dens))
+        e = max((-(-_twos(d) // i) for i, d in enumerate(dens, 1)), default=0)
+        terms = []  # (i, odd, s) with odd << s == W_i, for R_i != 0
+        for i, x in enumerate(r[1:], 1):
+            if x:
+                v = _twos(x.denominator)
+                w = x.numerator * (odd**i // (x.denominator >> v))
+                terms.append((i, w >> _twos(w), _twos(w) + e * i - v))
+        c = odd << e
+        out, u = [Fraction(1)], [1]
+        for n in range(1, len(r)):
+            total = 0
+            for i, w, s in terms:
                 if i > n:
                     break
-                total -= odd * h[n - i] << e
-            h.append(total)
-            power *= B[0]
-            out.append(Fraction(total * l_b, power * l_a))
-        return TruncatedSeries(out, order)
+                total -= w * u[n - i] << s
+            u.append(total)
+            out.append(Fraction(total, c**n))
+        return TruncatedSeries(out, self.valid_order)
+
+
+def _twos(x: int) -> int:
+    """The exponent of 2 in the non-zero integer x."""
+    return (x & -x).bit_length() - 1

@@ -324,8 +324,11 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_07_first_return_oracle_triangle",
         ),
     ),
+    # The Schur-Taylor = renewal tests share TruncatedSeries.reciprocal on
+    # both sides, so only a test against the ``divide`` or ``reciprocal``
+    # oracle can see a reciprocal mutant.
     Mutant(
-        # The quotient's order-n coefficient loses its b_n h_0 term.
+        # U_n loses its W_n U_0 term.
         "series-division-drops-last-term",
         SERIES,
         "                if i > n:\n",
@@ -333,35 +336,68 @@ MUTANTS = (
         (
             "tests/test_series.py::test_reciprocal_geometric",
             "tests/test_series.py::test_kernel_matches_oracle_on_riesz_series",
-            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
-            "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
-        ),
-    ),
-    Mutant(
-        # Every multiplier B_i B_0^(i-1) doubles.
-        "series-division-shift-one-too-far",
-        SERIES,
-        "terms.append((i, c >> e, e))",
-        "terms.append((i, c >> e, e + 1))",
-        (
-            "tests/test_series.py::test_kernel_matches_oracle_on_riesz_series",
-            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
             "tests/test_series.py::test_kernel_matches_divide_on_the_schur_start_through_order_1001",
             "tests/test_series.py::test_kernel_matches_divide_on_the_renewal_inverse_through_order_1000",
         ),
     ),
     Mutant(
-        # p and q trade places, so both routes work on 1/f.
+        # Every W_i doubles.
+        "series-division-shift-one-too-far",
+        SERIES,
+        "_twos(w) + e * i - v))",
+        "_twos(w) + e * i - v + 1))",
+        (
+            "tests/test_series.py::test_kernel_matches_oracle_on_riesz_series",
+            "tests/test_series.py::test_kernel_matches_divide_on_the_schur_start_through_order_1001",
+            "tests/test_series.py::test_kernel_matches_divide_on_the_renewal_inverse_through_order_1000",
+        ),
+    ),
+    Mutant(
+        # c^i R_i is no longer an integer when v_2(d_i) / i is not one.  The
+        # Riesz series have e = 1 either way, so only generated ones see it.
+        "series-reciprocal-exponent-rounded-down",
+        SERIES,
+        "-(-_twos(d) // i)",
+        "_twos(d) // i",
+        (
+            "tests/test_series.py::test_kernel_matches_oracle_on_generated_series",
+            "tests/test_series.py::test_reciprocal_general_scale",
+        ),
+    ),
+    Mutant(
+        "series-reciprocal-scale-taken-as-one",
+        SERIES,
+        "        odd = math.lcm(*(d >> _twos(d) for d in dens))\n"
+        "        e = max((-(-_twos(d) // i) for i, d in enumerate(dens, 1)), default=0)\n",
+        "        odd, e = 1, 0\n",
+        (
+            "tests/test_series.py::test_kernel_matches_oracle_on_generated_series",
+            "tests/test_series.py::test_reciprocal_general_scale",
+            "tests/test_series.py::test_kernel_matches_divide_on_the_schur_start_through_order_1001",
+            "tests/test_series.py::test_kernel_matches_divide_on_the_renewal_inverse_through_order_1000",
+        ),
+    ),
+    Mutant(
+        # p and q trade places, so extract_verblunsky and the long-division
+        # check of schur_from_caratheodory work on 1/f.
         "schur-start-numerator-denominator-swapped",
         SCHUR,
         "return scaled[1:], scaled[:-1]",
         "return scaled[:-1], scaled[1:]",
         (
-            "tests/test_schur.py::test_schur_function_matches_known_expansion",
             "tests/test_schur.py::test_extract_first_twelve",
-            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
-            "tests/test_cli.py::test_first_return_exact",
+            "tests/test_series.py::test_kernel_matches_divide_on_the_schur_start_through_order_1001",
+            "tests/test_schur.py::test_extract_agrees_with_stepping",
+            "tests/test_acceptance.py::test_ansatz_verification_1500",
         ),
+    ),
+    Mutant(
+        # str() of an int over 4300 digits raises again.
+        "cli-cell-past-digit-limit-unguarded",
+        CLI,
+        "    except ValueError:  # fractions imports decimal",
+        "    except TypeError:  # fractions imports decimal",
+        ("tests/test_cli.py::test_write_table_past_the_int_digit_limit",),
     ),
     Mutant(
         "cli-mismatch-reports-previous-index",

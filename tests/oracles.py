@@ -11,11 +11,12 @@ exists to check a production route by a second, unrelated one:
 * ``traditional_walk_test``: the paper's ``F(-z) F(z) = 1`` test for walks
   without self-transitions;
 * ``mul`` and ``reciprocal``: the term-by-term Fraction product and
-  reciprocal, against the quotient ``TruncatedSeries.__truediv__``;
-* ``divide``: the quotient by long division over each order's least common
-  denominator, against the fraction-free ``TruncatedSeries.__truediv__``;
-  unlike that one it stays fast on a chain of divisions by general
-  rationals, so the tests' Schur stepper divides with it;
+  reciprocal, against the scaled integer ``TruncatedSeries.reciprocal``;
+* ``divide``: the quotient of two series by long division over each
+  order's least common denominator, against ``TruncatedSeries.reciprocal``
+  and ``schur.schur_from_caratheodory``; it takes any invertible constant
+  term and stays fast on a chain of divisions by general rationals, so the
+  tests' Schur stepper divides with it;
 * ``mu_signed_quartic_digits``: the signed base-4 digit rule of the sparse
   measure MU (every exponent >= 1), against ``riesz.moment`` on MU, which
   reaches MU only by re-indexing NU;

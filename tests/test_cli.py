@@ -4,13 +4,14 @@ import re
 import stat
 import subprocess
 import sys
+from argparse import Namespace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import rieszwalk
-from rieszwalk.cli import main
+from rieszwalk.cli import main, write_table
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import (
     first_return_series,
@@ -545,6 +546,23 @@ def test_bad_flags_exit_2():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_past_the_int_digit_limit(capsys, fmt):
+    # Python 3.11 refuses str() of an int over 4300 digits; a cell keeps all
+    # of its digits, and a small one is printed by str as before.
+    den = "1" + "0" * 4998 + "7"  # 10**4999 + 7, 5000 digits
+    whole = "1" + "0" * 5000
+    row = [1, F(-3, 10**4999 + 7), F(10**5000), F(1, 3)]
+    args = Namespace(float=False, format=fmt, output="-")
+    write_table(["n", "a", "b", "c"], [row], args)
+    out = capsys.readouterr().out
+    cells = [f"-3/{den}", whole, "1/3"]
+    if fmt == "csv":
+        assert out == "n,a,b,c\n1," + ",".join(cells) + "\n"
+    else:
+        assert json.loads(out) == {"columns": ["n", "a", "b", "c"], "rows": [[1, *cells]]}
+
+
 def test_output_file_atomic_and_deterministic(tmp_path):
     target = tmp_path / "out.csv"
     argv = ["verblunsky", "--count", "12", "--output", str(target)]
@@ -634,6 +652,23 @@ def test_console_invocations_byte_identical(capsys, tmp_path):
         assert (printed.returncode, printed.stderr) == (0, b""), argv
         assert (written.returncode, written.stderr, written.stdout) == (0, b"", b""), argv
         assert printed.stdout == target.read_bytes() == want.encode(), argv
+
+
+def test_norm_trace_bytes_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product over 10 000 entries across its threads,
+    # which changes the rounding of a norm; run() sets it to one thread.  This
+    # trace has dimension 10 008.  On a one-core host OpenBLAS runs a single
+    # thread anyway, so there this test cannot fail.
+    argv = ["-m", "rieszwalk.cli", "walk", "--coin", "hadamard", "--steps", "5000"]
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, *argv, "--emit", "norm-trace"],
+            capture_output=True, env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_process_exit_codes():

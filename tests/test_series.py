@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import add, divide, mul, reciprocal, substitute_quartic
+from oracles import add, divide, mul, reciprocal, scale, substitute_quartic
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
-from rieszwalk.schur import _fraction_free_start
+from rieszwalk.schur import _fraction_free_start, schur_from_caratheodory
 from rieszwalk.series import TruncatedSeries
 
 
@@ -13,60 +14,76 @@ def S(coeffs, order):
     return TruncatedSeries(coeffs, order)
 
 
-# ``mul`` and ``reciprocal`` are the term-by-term oracles for the quotient.
+# ``reciprocal`` is the term-by-term oracle for ``TruncatedSeries.reciprocal``
+# and ``mul`` checks that the product with the input is one.
+
+
+def one(order):
+    return S([1], order)
 
 
 @pytest.mark.parametrize("variant", list(MeasureVariant))
 def test_kernel_matches_oracle_on_riesz_series(variant):
-    F_series = caratheodory_series(300, variant)
-    denominator = add(F_series, S([1], 300))
-    numerator = add(F_series, S([-1], 300))
-    shifted = S(numerator.coefficients[1:], 299)  # (F - 1) / z
-    inverse = reciprocal(denominator)
-    assert S([1], 300) / denominator == inverse
-    assert numerator / denominator == mul(numerator, inverse)
-    assert shifted / denominator == mul(shifted, inverse)
+    # R = (F + 1)/2, the moment series that schur_from_caratheodory inverts.
+    R = scale(add(caratheodory_series(300, variant), one(300)), F(1, 2))
+    inverse = R.reciprocal()
+    assert inverse == reciprocal(R)
+    assert mul(R, inverse) == one(300)
 
 
-def test_kernel_matches_oracle_on_generated_series():
-    from hypothesis import given, settings, strategies as st
-
-    # Zeros, integers and non-dyadic fractions of either sign.
-    coefficient = st.one_of(
-        st.just(0),
-        st.integers(-20, 20),
-        st.fractions(min_value=-7, max_value=7, max_denominator=60),
-    )
-
-    @st.composite
-    def series(draw):
-        order = draw(st.integers(-1, 14))
-        if draw(st.booleans()):  # sparse: a few non-zero entries among zero gaps
-            entries = draw(st.dictionaries(st.integers(0, order + 2), coefficient, max_size=4))
-            coeffs = [entries.get(k, 0) for k in range(order + 3)]
-        else:
-            coeffs = draw(st.lists(coefficient, max_size=order + 3))
-        return TruncatedSeries(coeffs, order)
-
-    @settings(deadline=None, max_examples=150)
-    @given(series(), series())
-    def check(a, b):
-        if b.valid_order < 0 or not b.coefficients[0]:
-            with pytest.raises(ValueError, match="divisor has no invertible constant term"):
-                a / b
-            return
-        quotient = a / b
-        order = min(a.valid_order, b.valid_order)
-        assert quotient.valid_order == order
-        assert quotient == mul(a, reciprocal(b))
-        assert mul(quotient, b) == S(a.coefficients, order)
-
-    check()
+# Zeros, integers and fractions of either sign, with denominators that hold
+# odd primes and high powers of two.
+_coefficient = st.one_of(
+    st.just(0),
+    st.integers(-20, 20),
+    st.fractions(min_value=-7, max_value=7, max_denominator=60),
+    st.builds(F, st.integers(-9, 9), st.sampled_from([3, 8, 9, 16, 32, 27, 40])),
+)
 
 
-# ``divide`` is the long-division oracle, held to the quotient order by order
-# on the two divisions that ``first-return --method exact`` and the renewal
-# check run, at their production size.
+@st.composite
+def unit_series(draw):
+    """A series with constant term 1, trusted through order 0 to 14."""
+    order = draw(st.integers(0, 14))
+    if draw(st.booleans()):  # sparse: a few non-zero entries among zero gaps
+        entries = draw(st.dictionaries(st.integers(1, order + 2), _coefficient, max_size=4))
+        tail = [entries.get(k, 0) for k in range(1, order + 3)]
+    else:
+        tail = draw(st.lists(_coefficient, max_size=order + 2))
+    return S([1, *tail], order)
+
+
+@settings(deadline=None, max_examples=150)
+@given(unit_series())
+# c = 2^e with e = ceil(3/2) = 2, not 3 // 2; and c = 9 << 2.
+@example(S([1, 0, F(1, 8)], 6))
+@example(S([1, F(1, 3), F(-1, 8), 0, F(5, 9)], 9))
+def test_kernel_matches_oracle_on_generated_series(r):
+    inverse = r.reciprocal()
+    assert inverse.valid_order == r.valid_order
+    assert inverse == reciprocal(r)
+    assert inverse == divide(one(r.valid_order), r)
+    assert mul(inverse, r) == one(r.valid_order)
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        pytest.param([1, F(1, 8)], id="c=8"),
+        pytest.param([1, 0, 0, F(-1, 16)], id="c=4"),  # e = ceil(4/3)
+        pytest.param([1, F(1, 3)], id="c=3"),
+        pytest.param([1, F(2, 3), 0, F(-1, 7)], id="c=21"),
+        pytest.param([1, F(1, 2), F(3, 40), F(1, 9)], id="c=45<<2"),
+    ],
+)
+def test_reciprocal_general_scale(coefficients):
+    r = S(coefficients, 12)
+    assert_orders_equal(r.reciprocal(), divide(one(12), r))
+
+
+# ``divide`` is the long-division oracle, held to the reciprocal order by
+# order on the two inputs that ``first-return --method exact`` and the
+# renewal check invert, at their production size.
 
 
 def assert_orders_equal(quotient, oracle):
@@ -76,20 +93,22 @@ def assert_orders_equal(quotient, oracle):
 
 
 def test_kernel_matches_divide_on_the_schur_start_through_order_1001():
-    # schur_from_caratheodory's integer pair for NU, as ``--max 4004`` divides it.
-    p, q = _fraction_free_start(caratheodory_series(1002, MeasureVariant.NU), 1002)
-    numerator, denominator = S(p, 1001), S(q, 1001)
-    assert_orders_equal(numerator / denominator, divide(numerator, denominator))
+    # NU's Schur function, as ``--max 4004`` computes it, against long
+    # division of the integer pair (F - 1)/z and F + 1 that
+    # extract_verblunsky starts from.
+    F_series = caratheodory_series(1002, MeasureVariant.NU)
+    p, q = _fraction_free_start(F_series, 1002)
+    assert_orders_equal(schur_from_caratheodory(F_series), divide(S(p, 1001), S(q, 1001)))
 
 
 def test_kernel_matches_divide_on_the_renewal_inverse_through_order_1000():
     # renewal_first_return's 1/r over MU's moments.
     r = S([moment(j, MeasureVariant.MU) for j in range(1001)], 1000)
-    assert_orders_equal(S([1], 1000) / r, divide(S([1], 1000), r))
+    assert_orders_equal(r.reciprocal(), divide(one(1000), r))
 
 
 # ``add`` and ``mul`` are the test-side sum and product; these pin them before
-# the division checks rely on them.
+# the reciprocal checks rely on them.
 
 
 def test_add_basic():
@@ -114,14 +133,14 @@ def test_add_like_terms():
 def test_mul_difference_of_squares():
     out = mul(S([1, 1], 8), S([1, -1], 8))
     assert list(out.coefficients) == [F(1), 0, F(-1)] + [F(0)] * 6
-    assert S([1, 0, -1], 8) / S([1, -1], 8) == S([1, 1], 8)
+    assert divide(S([1, 0, -1], 8), S([1, -1], 8)) == S([1, 1], 8)
 
 
 def test_mul_identity():
     a = S([F(3, 5), 0, F(-2, 9), 1], 7)
     assert mul(a, S([1], 7)) == a
-    assert a / S([1], 7) == a
-    assert a / a == S([1], 7)
+    assert divide(a, S([1], 7)) == a
+    assert divide(a, a) == S([1], 7)
 
 
 def test_mul_telescopes_geometric():
@@ -129,43 +148,44 @@ def test_mul_telescopes_geometric():
     out = mul(geometric, S([1, -1], 10))
     assert out.coefficient(0) == 1
     assert all(out.coefficient(k) == 0 for k in range(1, 11))
-    assert S([1], 10) / geometric == S([1, -1], 10)
+    assert geometric.reciprocal() == S([1, -1], 10)
 
 
 def test_valid_order_min_rule():
+    # add and mul keep the lower valid order; reciprocal keeps its input's.
     a = S([1, 2, 3], 2)
     b = S([1], 12)
     assert add(a, b).valid_order == 2
-    assert (a / b).valid_order == 2
-    assert (b / a).valid_order == 2
+    assert mul(b, a).valid_order == 2
+    assert a.reciprocal().valid_order == 2
+    assert b.reciprocal() == b
 
 
 def test_reciprocal_geometric():
-    out = S([1], 9) / S([1, -1], 9)
+    out = S([1, -1], 9).reciprocal()
     assert out.valid_order == 9
     assert all(out.coefficient(k) == 1 for k in range(10))
 
 
-def test_reciprocal_constant():
-    assert S([1], 3) / S([F(1, 2)], 3) == S([2], 3)
-    assert S([3, F(-1, 5)], 3) / S([F(1, 2)], 3) == S([6, F(-2, 5)], 3)
-
-
 def test_reciprocal_long_division():
     # 1/(1 - z^3/2) = sum (z^3/2)^k, so the z^6 coefficient is 1/4
-    out = S([1], 8) / S([1, 0, 0, F(-1, 2)], 8)
+    out = S([1, 0, 0, F(-1, 2)], 8).reciprocal()
     assert out.coefficient(6) == F(1, 4)
     assert out.coefficient(3) == F(1, 2)
     assert out.coefficient(4) == 0
 
 
 def test_reciprocal_zero_constant_raises():
-    with pytest.raises(ValueError, match="divisor has no invertible constant term"):
-        S([1], 4) / S([0, 1], 4)
-    with pytest.raises(ValueError, match="divisor has no invertible constant term"):
-        S([1], 4) / S([], -1)
-    with pytest.raises(ValueError, match="divisor has no invertible constant term"):
-        S([], -1) / S([0, 1], 4)
+    with pytest.raises(ValueError, match="^reciprocal needs constant term 1$"):
+        S([0, 1], 4).reciprocal()
+    with pytest.raises(ValueError, match="^reciprocal needs constant term 1$"):
+        S([], -1).reciprocal()
+
+
+@pytest.mark.parametrize("constant", [2, -1, F(1, 2), F(3, 2)])
+def test_reciprocal_rejects_constant_other_than_one(constant):
+    with pytest.raises(ValueError, match="^reciprocal needs constant term 1$"):
+        S([constant, 1], 4).reciprocal()
 
 
 def test_substitute_quartic():
@@ -196,7 +216,7 @@ def test_valid_order_cannot_be_overwritten():
     with pytest.raises(AttributeError):
         a.valid_order = 5
     assert a.valid_order == 1
-    assert S([1], 5) / a == S([1, -2], 1)
+    assert a.reciprocal() == S([1, -2], 1)
 
 
 def test_padding_and_truncation_at_construction():
@@ -218,21 +238,20 @@ def test_ring_axioms_random():
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
         assert mul(a, b) == mul(b, a)
         if c.coefficient(0):
-            assert add(a, b) / c == add(a / c, b / c)
-            assert mul(a, b) / c == mul(a / c, b)
+            assert divide(add(a, b), c) == add(divide(a, c), divide(b, c))
+            assert divide(mul(a, b), c) == mul(divide(a, c), b)
 
 
 def test_reciprocal_roundtrip_random():
     rng = random.Random(7)
     for _ in range(40):
         order = rng.randint(0, 9)
-        a = _random_series(rng, order)
-        if a.coefficient(0) == 0:
-            a = add(a, S([1], order))
-        assert mul(a, S([1], order) / a) == S([1], order)
+        a = S([1, *_random_series(rng, order).coefficients[1:]], order)
+        assert mul(a, a.reciprocal()) == one(order)
+        assert a.reciprocal().reciprocal() == a
         b = _random_series(rng, order)
-        assert mul(b / a, a) == b
-        assert (b / a) / (S([1], order) / a) == b
+        assert mul(divide(b, a), a) == b
+        assert divide(b, a) == mul(b, a.reciprocal())
 
 
 def test_coefficients_stay_canonical():
@@ -240,9 +259,7 @@ def test_coefficients_stay_canonical():
     rng = random.Random(99)
     for _ in range(30):
         a = _random_series(rng, 5)
-        b = _random_series(rng, 5)
-        if b.coefficient(0) == 0:
-            b = add(b, S([1], 5))
-        for c in add(a / b, a).coefficients:
+        b = S([1, *_random_series(rng, 5).coefficients[1:]], 5)
+        for c in add(b.reciprocal(), a).coefficients:
             assert c.denominator >= 1
             assert F(c.numerator, c.denominator) == c
