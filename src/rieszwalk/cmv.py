@@ -39,7 +39,6 @@ Entry = tuple[int, int, complex]  # (row, col, value)
 Slice = tuple[int, int, int, int]  # (offset, start, stop, stride) of band rows
 
 PERIOD = 8  # rows are classed by their residue mod PERIOD
-ALL_RESIDUES = (1 << PERIOD) - 1  # bit t stands for the rows r with r % PERIOD == t
 
 
 def disk_point(value: AlphaLike) -> tuple[complex, float]:
@@ -159,8 +158,8 @@ def apply_on_residues(
     checked here (``walk.trajectory`` checks it once).  Two promises say
     where it is zero: at every index from ``support`` on, and at every index
     whose residue mod ``PERIOD`` is not in the bit set ``residues``;
-    ``M.dimension`` and ``ALL_RESIDUES`` promise nothing.  Only
-    rows inside both are read, by ``M.plan(residues)``.  With finite entries
+    ``M.dimension`` and the full set ``(1 << PERIOD) - 1`` promise nothing.
+    Only rows inside both are read, by ``M.plan(residues)``.  With finite entries
     the result is bit for bit the full sum: each skipped term is a zero
     product, the kept ones still add in ascending offset order, and adding a
     zero to an accumulator that starts at +0.0 changes nothing.  The output

@@ -7,15 +7,17 @@ and each MU quantity is an NU one re-indexed by z -> z^4: moments j -> 4j,
 Verblunsky parameters j -> 4j + 3, first returns n -> 4n; the rest vanish.
 
 An NU moment is nonzero exactly when the index can be written as a signed sum
-of distinct powers of 4, in which case it equals 1/2^(number of powers).  The
-digit extraction below is the executable form of that (unique) expansion.
+of distinct powers of 4, in which case it equals 1/2^(number of powers).  Such
+a sum is the balanced base-4 expansion of |j|, with digits -1, 0 and 1, so it
+is unique when it exists.  ``moment`` reads those digits from the lowest up,
+a digit 3 being -1 with a carry, counts the non-zero ones and returns 0 at the
+first digit 2, which no balanced digit can absorb.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Optional
 
 from .series import TruncatedSeries
 
@@ -27,51 +29,21 @@ class MeasureVariant(enum.Enum):
     NU = "nu"
 
 
-# (exponent, sign) pairs, exponents strictly decreasing.
-SignedQuarticExpansion = tuple[tuple[int, int], ...]
-
-
-def signed_quartic_digits(j: int) -> Optional[SignedQuarticExpansion]:
-    """Expand j as +-4^k1 +- ... +- 4^kp with k1 > ... > kp >= 0, or None.
-
-    Returns None when no such expansion exists (the common case), which is a
-    normal outcome and not an error: it encodes a vanishing NU moment.
-    """
-    if j == 0:
-        raise ValueError("j = 0 has no expansion; handle the zeroth moment directly")
-    flip = -1 if j < 0 else 1
-    m = abs(j)
-    digits = []
-    level = 0
-    while m:
-        r = m % 4
-        if r == 0:
-            m //= 4
-        elif r == 1:
-            digits.append((level, flip))
-            m = (m - 1) // 4
-        elif r == 3:
-            digits.append((level, -flip))
-            m = (m + 1) // 4
-        else:  # r == 2: no balanced digit can absorb it
-            return None
-        level += 1
-    digits.reverse()
-    return tuple(digits)
-
-
 def moment(j: int, variant: MeasureVariant = MeasureVariant.MU) -> Fraction:
     """Exact moment of the chosen measure variant; moment(-j) == moment(j)."""
     if variant is MeasureVariant.MU:
         if j % 4:
             return Fraction(0)
         j //= 4
-    if j == 0:
-        return Fraction(1)
-    digits = signed_quartic_digits(j)
-    if digits is None:
-        return Fraction(0)
-    return Fraction(1, 2 ** len(digits))
+    m, powers = abs(j), 0
+    while m:
+        r = m % 4
+        if r == 2:  # no balanced digit can absorb it
+            return Fraction(0)
+        if r:
+            powers += 1
+        m = (m + 1) // 4  # a digit 3 is -1 and carries one
+    return Fraction(1, 2**powers)
 
 
 def caratheodory_series(

@@ -133,43 +133,6 @@ class PositionDistribution(NamedTuple):
     probabilities: np.ndarray
 
 
-def _steps(M: BandedUnitary, amplitudes: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """``trajectory`` over bare arrays.  Each step reads the array the last one
-    yielded, so an edit to it between steps carries forward; an edit may
-    zero entries, but not make one non-zero above the highest non-zero one."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    v = np.asarray(amplitudes, dtype=complex)
-    if v.shape != (M.dimension,):
-        raise ValueError(
-            f"state length {v.shape[0] if v.ndim == 1 else v.shape} "
-            f"!= dimension {M.dimension}"
-        )
-    nonzero = np.nonzero(v)[0]
-    high = int(nonzero[-1]) if nonzero.size else 0
-    needed = (high | 1) + 2 * steps
-    if M.dimension < needed:
-        raise ValueError(
-            f"{steps} steps from support <= {high} need dimension >= {needed}, "
-            f"have {M.dimension}"
-        )
-    residues = sum(1 << t for t in set((nonzero % PERIOD).tolist()))
-    # The state is zero from index top on.  A step raises top by two (the
-    # light cone, capped at the dimension); the flush then lowers it past
-    # the run of entries below tiny at the top.
-    top = high + 1
-    for _ in range(steps):
-        v, residues = apply_on_residues(v, M, top, residues)
-        top = min(top + 2, M.dimension)
-        while top:
-            z = v.item(top - 1)
-            if not (abs(z.real) < _TINY and abs(z.imag) < _TINY):
-                break
-            v[top - 1] *= 0.0  # an exact zero keeps its sign
-            top -= 1
-        yield v
-
-
 def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[WalkState]:
     """The state after each of steps 1..steps; the truncation must be faithful.
 
@@ -199,8 +162,43 @@ def trajectory(M: BandedUnitary, initial: WalkState, steps: int) -> Iterator[Wal
     its bands.  So a step reads only the rows the walk can have reached and
     the band entries it can meet there, with results bit for bit those of
     stepping over the full dimension and flushing the same run.
+
+    Each step reads the amplitudes of the state the last one yielded, so an
+    edit to that array between steps carries forward (``first_return_numeric``
+    kills the origin this way).  An edit may zero entries, but not make one
+    non-zero above the highest non-zero one.
     """
-    return map(WalkState, _steps(M, initial.amplitudes, steps))
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    v = np.asarray(initial.amplitudes, dtype=complex)
+    if v.shape != (M.dimension,):
+        raise ValueError(
+            f"state length {v.shape[0] if v.ndim == 1 else v.shape} "
+            f"!= dimension {M.dimension}"
+        )
+    nonzero = np.nonzero(v)[0]
+    high = int(nonzero[-1]) if nonzero.size else 0
+    needed = (high | 1) + 2 * steps
+    if M.dimension < needed:
+        raise ValueError(
+            f"{steps} steps from support <= {high} need dimension >= {needed}, "
+            f"have {M.dimension}"
+        )
+    residues = sum(1 << t for t in set((nonzero % PERIOD).tolist()))
+    # The state is zero from index top on.  A step raises top by two (the
+    # light cone, capped at the dimension); the flush then lowers it past
+    # the run of entries below tiny at the top.
+    top = high + 1
+    for _ in range(steps):
+        v, residues = apply_on_residues(v, M, top, residues)
+        top = min(top + 2, M.dimension)
+        while top:
+            z = v.item(top - 1)
+            if not (abs(z.real) < _TINY and abs(z.imag) < _TINY):
+                break
+            v[top - 1] *= 0.0  # an exact zero keeps its sign
+            top -= 1
+        yield WalkState(v)
 
 
 def evolve(M: BandedUnitary, initial: WalkState, steps: int) -> WalkState:
@@ -234,7 +232,7 @@ def first_return_numeric(M: BandedUnitary, max_n: int) -> np.ndarray:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     a = np.zeros(max_n, dtype=complex)
-    for n, v in enumerate(_steps(M, WalkState.origin_up(M.dimension).amplitudes, max_n)):
+    for n, (v,) in enumerate(trajectory(M, WalkState.origin_up(M.dimension), max_n)):
         a[n] = v[0]
         v[0] = 0
     return a

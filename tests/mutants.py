@@ -203,7 +203,7 @@ MUTANTS = (
         "plan-ignores-state-residues",
         CMV,
         "if residues >> t & 1:",
-        "if ALL_RESIDUES >> t & 1:",
+        "if (1 << PERIOD) - 1 >> t & 1:",
         (
             "tests/test_cmv.py::test_riesz_walk_plans_take_one_row_in_eight",
             "tests/test_cmv.py::test_every_plan_matches_its_brute_force_plan",
@@ -456,6 +456,29 @@ MUTANTS = (
             "tests/test_riesz.py::test_moment_examples",
             "tests/test_riesz.py::test_digits_match_brute_force",
             "tests/test_riesz.py::test_moment_variant_consistency",
+            "tests/test_exact_properties.py::test_mu_moment_is_the_nu_moment_at_a_quarter_of_the_index",
+        ),
+    ),
+    Mutant(
+        # A digit 3 counts as +1: 3 = 4 - 1 reads as one power, not two.
+        "moment-digit-3-carry-dropped",
+        RIESZ,
+        "m = (m + 1) // 4",
+        "m = m // 4",
+        (
+            "tests/test_riesz.py::test_digits_match_brute_force",
+            "tests/test_exact_properties.py::test_mu_moment_is_the_nu_moment_at_a_quarter_of_the_index",
+        ),
+    ),
+    Mutant(
+        # A digit 2 counts as a power, so 2 gets moment 1/2 instead of 0.
+        "moment-digit-2-accepted",
+        RIESZ,
+        "        if r == 2:  # no balanced digit can absorb it\n"
+        "            return Fraction(0)\n",
+        "",
+        (
+            "tests/test_riesz.py::test_digits_match_brute_force",
             "tests/test_exact_properties.py::test_mu_moment_is_the_nu_moment_at_a_quarter_of_the_index",
         ),
     ),

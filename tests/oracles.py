@@ -17,9 +17,10 @@ exists to check a production route by a second, unrelated one:
   and ``schur.schur_from_caratheodory``; it takes any invertible constant
   term and stays fast on a chain of divisions by general rationals, so the
   tests' Schur stepper divides with it;
-* ``mu_signed_quartic_digits``: the signed base-4 digit rule of the sparse
-  measure MU (every exponent >= 1), against ``riesz.moment`` on MU, which
-  reaches MU only by re-indexing NU;
+* ``signed_quartic_digits``: the expansion of an index as a signed sum of
+  distinct powers of 4 whose exponents reach down to a floor (0 for NU, 1
+  for MU), built term by term, against ``riesz.moment``, which only counts
+  the terms and reaches MU only by re-indexing NU;
 * ``add``, ``scale`` and ``substitute_quartic``: series operations the
   exact layer does not need, built through the ``TruncatedSeries``
   constructor so that the valid-order ledger still applies;
@@ -27,6 +28,8 @@ exists to check a production route by a second, unrelated one:
   entries;
 * ``from_entries``: a ``BandedUnitary`` placed one (row, col, value) triple
   at a time, the inverse of ``BandedUnitary.nonzero_entries``;
+* ``ALL_RESIDUES``: the bit set of every residue mod ``PERIOD``, with which
+  ``cmv.apply_on_residues`` steps a state it is promised nothing about;
 * ``residue_rows``: each band's first and last non-zero row of each residue
   mod ``PERIOD``, read back from the singleton plans of
   ``BandedUnitary.plan``, so tests can pin an operator's zero pattern;
@@ -61,7 +64,6 @@ import numpy as np
 
 from rieszwalk.ansatz import backbone
 from rieszwalk.cmv import (
-    ALL_RESIDUES,
     PERIOD,
     AlphaLike,
     BandedUnitary,
@@ -75,12 +77,13 @@ from rieszwalk.walk import CoinMatrix
 # -- exact moments and series ---------------------------------------------------
 
 
-def mu_signed_quartic_digits(j: int) -> Optional[tuple[tuple[int, int], ...]]:
-    """Expand j as +-4^k1 +- ... +- 4^kp with k1 > ... > kp >= 1, or None.
+def signed_quartic_digits(
+    j: int, floor: int = 0
+) -> Optional[tuple[tuple[int, int], ...]]:
+    """Expand j as +-4^k1 +- ... +- 4^kp with k1 > ... > kp >= floor, or None.
 
-    The digit rule the package once kept for the sparse measure MU: the
-    balanced base-4 digits of j, rejected when the lowest one sits at
-    exponent 0.
+    The balanced base-4 digits of j, as (exponent, sign) pairs; None when a
+    digit 2 leaves no expansion, or when the lowest exponent is below floor.
     """
     if j == 0:
         raise ValueError("j = 0 has no expansion; handle the zeroth moment directly")
@@ -101,7 +104,7 @@ def mu_signed_quartic_digits(j: int) -> Optional[tuple[tuple[int, int], ...]]:
         else:  # r == 2: no balanced digit can absorb it
             return None
         level += 1
-    if digits and digits[0][0] == 0:
+    if digits[0][0] < floor:
         return None
     digits.reverse()
     return tuple(digits)
@@ -277,6 +280,9 @@ def traditional_walk_test(F_coeffs: Sequence, tol: float = 1e-10) -> bool:
     prod = np.convolve(signs * c, c)[:n]
     prod[0] -= 1.0
     return bool(np.max(np.abs(prod)) <= tol)
+
+
+ALL_RESIDUES = (1 << PERIOD) - 1  # bit t stands for the rows r with r % PERIOD == t
 
 
 def dense(M: BandedUnitary) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ALL_RESIDUES,
     apply_full_length,
     build_cmv_by_entry,
     cmv_from_theta,
@@ -17,7 +18,6 @@ from oracles import (
 )
 from rieszwalk.ansatz import alpha
 from rieszwalk.cmv import (
-    ALL_RESIDUES,
     PERIOD,
     BandedUnitary,
     apply_on_residues,

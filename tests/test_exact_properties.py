@@ -7,10 +7,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import mu_signed_quartic_digits
+from oracles import signed_quartic_digits
 from rieszwalk.ansatz import decompose_index
 from rieszwalk.cli import main
-from rieszwalk.riesz import MeasureVariant, moment, signed_quartic_digits
+from rieszwalk.riesz import MeasureVariant, moment
 
 property_settings = settings(deadline=None, max_examples=100)
 
@@ -32,6 +32,7 @@ def test_signed_quartic_digits_recover_the_expansion(drawn, variant):
     assert signed_quartic_digits(j) == expansion
     # MU's moments are NU's on the expansions that avoid 4^0, and 0 elsewhere.
     if variant is MeasureVariant.MU and expansion[-1][0] == 0:
+        assert signed_quartic_digits(j, 1) is None
         assert moment(j, variant) == 0
     else:
         assert moment(j, variant) == Fraction(1, 2 ** len(expansion))
@@ -49,7 +50,7 @@ def test_mu_moment_is_the_nu_moment_at_a_quarter_of_the_index(j):
     mu = moment(j, MeasureVariant.MU)
     assert mu == (moment(j // 4, MeasureVariant.NU) if j % 4 == 0 else 0)
     if j:
-        expansion = mu_signed_quartic_digits(j)
+        expansion = signed_quartic_digits(j, 1)
         assert mu == (0 if expansion is None else Fraction(1, 2 ** len(expansion)))
 
 

@@ -2,13 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import mu_signed_quartic_digits
-from rieszwalk.riesz import (
-    MeasureVariant,
-    caratheodory_series,
-    moment,
-    signed_quartic_digits,
-)
+from oracles import signed_quartic_digits
+from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 
 MU, NU = MeasureVariant.MU, MeasureVariant.NU
 
@@ -62,12 +57,8 @@ def brute_force_expansions(j: int, min_exponent: int) -> list[tuple[tuple[int, i
     ],
 )
 def test_digit_examples(j, variant, expected):
-    if variant is NU:
-        assert signed_quartic_digits(j) == expected
-    else:
-        # The package reaches MU by re-indexing NU; its digit rule is an oracle.
-        assert mu_signed_quartic_digits(j) == expected
-        assert moment(j, MU) == moment_of(expected)
+    assert signed_quartic_digits(j, 1 if variant is MU else 0) == expected
+    assert moment(j, variant) == moment_of(expected)
 
 
 def test_digit_negative_flips_signs():
@@ -84,12 +75,11 @@ def test_digit_zero_rejected():
 
 @pytest.mark.parametrize("variant,min_exp", [(MU, 1), (NU, 0)])
 def test_digits_match_brute_force(variant, min_exp):
-    digit_rule = mu_signed_quartic_digits if variant is MU else signed_quartic_digits
     for j in range(1, 801):
         expansions = brute_force_expansions(j, min_exp)
         assert len(expansions) <= 1, f"expansion of {j} is not unique"
         expected = expansions[0] if expansions else None
-        assert digit_rule(j) == expected
+        assert signed_quartic_digits(j, min_exp) == expected
         assert moment(j, variant) == moment(-j, variant) == moment_of(expected), j
 
 
