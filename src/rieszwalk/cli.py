@@ -278,9 +278,10 @@ def cmd_first_return(args) -> int:
 
         # f_MU(z) = z^3 f_NU(z^4): the walk first returns only at steps
         # n = 4k, with NU's step-k amplitude, so the partial sum through
-        # step 4k holds through step 4k + 3.
-        F = caratheodory_series(max_n // 4 + 1, MeasureVariant.NU)
-        nu = first_return_series(schur_from_caratheodory(F), max_n // 4)
+        # step 4k holds through step 4k + 3.  F through order K = max_n // 4
+        # gives f through order K - 1, which is NU's steps 1..K.
+        F = caratheodory_series(max_n // 4, MeasureVariant.NU)
+        nu = first_return_series(schur_from_caratheodory(F))
         amplitudes = [Fraction(0)] * max_n
         amplitudes[3::4] = nu.amplitudes  # step 4k sits at index 4k - 1
         held = [c for c in cumulative_return_probability(nu) for _ in range(4)]
@@ -314,7 +315,7 @@ def cmd_cmv(args) -> int:
         # The Hadamard walk's own CMV operator, not its coined matrix.
         from . import cmv, walk
 
-        matrix = cmv.build_cmv(walk.hadamard_alpha(args.dim), args.dim)
+        matrix = cmv.build_cmv(walk.hadamard_alpha(args.dim))
     else:
         matrix = _walk_matrix(args.coin, args.dim)
     _write_matrix(matrix, args)

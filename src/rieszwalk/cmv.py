@@ -120,19 +120,18 @@ class BandedUnitary:
         return zip(rows.tolist(), (rows + t - 2).tolist(), self.bands.T[rows, t].tolist())
 
 
-def build_cmv(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
-    """Truncated CMV operator from the first ``dim`` Verblunsky coefficients."""
+def build_cmv(alphas: Sequence[AlphaLike]) -> BandedUnitary:
+    """Truncated CMV operator whose dimension is the number of Verblunsky coefficients."""
+    dim = len(alphas)
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if len(alphas) < dim:
-        raise ValueError(f"need at least {dim} coefficients, got {len(alphas)}")
     # a[j + 1] and r[j + 1] hold alpha_j and its rho, so the block formula's
     # alpha_(k-1), alpha_k, alpha_(k+1) are a[k], a[k + 1], a[k + 2].  In front
     # sits the boundary: a fictitious coefficient -1 makes the first two rows
     # come out of the same block formula as the rest.  Past the cut alpha = 0,
     # rho = 1; every entry built from it falls outside the matrix and is
     # dropped by the constructor.
-    a, r = zip((-1.0 + 0j, 0.0), *map(disk_point, alphas[:dim]), (0j, 1.0))
+    a, r = zip((-1.0 + 0j, 0.0), *map(disk_point, alphas), (0j, 1.0))
     # Python complex products round as numpy's complex128 scalar ones do;
     # numpy's array loops need not, so each band row is built as a list.
     bands = np.zeros((5, dim), dtype=complex)

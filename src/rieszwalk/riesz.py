@@ -57,4 +57,4 @@ def caratheodory_series(
         raise ValueError("max_order must be >= 0")
     coeffs = [Fraction(1)]
     coeffs.extend(2 * moment(j, variant) for j in range(1, max_order + 1))
-    return TruncatedSeries(coeffs, max_order)
+    return TruncatedSeries(coeffs)

@@ -9,8 +9,7 @@ itself, whose Taylor coefficients are the first-return amplitudes
 f = (1 - 1/R)/z, one series reciprocal.  ``renewal_first_return``
 computes the same amplitudes from the moments alone, as 1 - 1/r, without
 the Schur formula or the n-1 offset; the CLI never calls it, and the
-tests, those of the benchmark's output checks included, use it as an
-oracle.
+benchmark's output checks use it as an oracle.
 
 The engine works over real rational data (conjugation is the identity);
 complex coins are handled numerically elsewhere.  Each Schur step consumes
@@ -19,7 +18,8 @@ enforces: running out of orders raises instead of silently truncating.
 
 The step-n first-return amplitude is the order n-1 Taylor coefficient of f.
 That offset is not an assumption: the test suite asserts that the
-renewal inversion of the moment sequence coincides with it order by order.
+renewal inversion of the moment sequence, by its own long-division
+reciprocal, coincides with it order by order.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def schur_from_caratheodory(F: TruncatedSeries) -> TruncatedSeries:
     no order of f is, and the result is the empty series.
     """
     _check_unit_constant(F)
-    R = TruncatedSeries([1, *(c / 2 for c in F.coefficients[1:])], F.valid_order)
-    return TruncatedSeries([-c for c in R.reciprocal().coefficients[1:]], F.valid_order - 1)
+    R = TruncatedSeries([1, *(c / 2 for c in F.coefficients[1:])])
+    return TruncatedSeries([-c for c in R.reciprocal().coefficients[1:]])
 
 
 # extract_verblunsky divides the integer content out of its polynomials once
@@ -222,15 +222,9 @@ def extract_verblunsky(F: TruncatedSeries, count: int) -> list[Fraction]:
     return out
 
 
-def first_return_series(f: TruncatedSeries, max_n: int) -> FirstReturnSeries:
-    """First-return amplitudes for steps 1..max_n read off the Schur function."""
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    if max_n - 1 > f.valid_order:
-        raise ValueError(
-            f"step {max_n} needs order {max_n - 1}, valid through {f.valid_order}"
-        )
-    return FirstReturnSeries(tuple(f.coefficient(n - 1) for n in range(1, max_n + 1)))
+def first_return_series(f: TruncatedSeries) -> FirstReturnSeries:
+    """First-return amplitudes off the Schur function: step n is f's order n - 1."""
+    return FirstReturnSeries(f.coefficients)
 
 
 def renewal_first_return(
@@ -251,7 +245,7 @@ def renewal_first_return(
         raise ValueError(f"need {max_n + 1} moments, got {len(moments)}")
     if Fraction(moments[0]) != 1:
         raise ValueError("zeroth moment must be 1")
-    inverse = TruncatedSeries(moments[: max_n + 1], max_n).reciprocal()
+    inverse = TruncatedSeries(moments[: max_n + 1]).reciprocal()
     return FirstReturnSeries(tuple(-c for c in inverse.coefficients[1:]))
 
 

@@ -1,12 +1,13 @@
 """Truncated formal power series over exact rationals.
 
-Every series carries an explicit ``valid_order``: the highest order whose
-coefficient is trustworthy.  Operations never read a coefficient beyond
-it, and the one operation, ``reciprocal``, is trusted through its input's
-valid order.  This explicit ledger exists because the Verblunsky
-extraction loop loses exactly one trustworthy order per step, and silently
-reading past the valid order is the main correctness hazard of the whole
-computation.  Coefficients are ``fractions.Fraction``; arithmetic is exact.
+A series holds only trustworthy coefficients, so its ``valid_order``, the
+highest order whose coefficient is trusted, is read off their count.
+Operations never read a coefficient beyond it, and the one operation,
+``reciprocal``, is trusted through its input's valid order.  This ledger
+exists because the Verblunsky extraction loop loses exactly one
+trustworthy order per step, and silently reading past the valid order is
+the main correctness hazard of the whole computation.  Coefficients are
+``fractions.Fraction``; arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -19,27 +20,18 @@ CoefficientLike = Union[Fraction, int]
 
 
 class TruncatedSeries:
-    """Dense power series with coefficients trusted through ``valid_order``.
+    """Dense power series whose every stored coefficient is trusted.
 
-    ``valid_order`` is read off the stored coefficient list, one less than
-    its length, so the two cannot disagree; ``valid_order == -1`` means no
+    ``valid_order`` is one less than the number of coefficients, so the two
+    cannot disagree; an empty series has ``valid_order == -1``: no
     coefficient is trustworthy.  Instances are immutable: all operations
     return new series.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coefficients: Iterable[CoefficientLike], valid_order: int):
-        if valid_order < -1:
-            raise ValueError("valid_order must be >= -1")
-        coeffs = [Fraction(c) for c in coefficients]
-        n = valid_order + 1
-        if len(coeffs) < n:
-            # Missing trailing coefficients are exact zeros (polynomial input).
-            coeffs.extend([Fraction(0)] * (n - len(coeffs)))
-        else:
-            del coeffs[n:]
-        self._coeffs = tuple(coeffs)
+    def __init__(self, coefficients: Iterable[CoefficientLike]):
+        self._coeffs = tuple(Fraction(c) for c in coefficients)
 
     @property
     def valid_order(self) -> int:
@@ -60,12 +52,12 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.valid_order == other.valid_order and self._coeffs == other._coeffs
+        return self._coeffs == other._coeffs
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self._coeffs[:6])
         tail = ", ..." if len(self._coeffs) > 6 else ""
-        return f"TruncatedSeries([{head}{tail}], valid_order={self.valid_order})"
+        return f"TruncatedSeries([{head}{tail}])  # valid_order {self.valid_order}"
 
     def reciprocal(self) -> "TruncatedSeries":
         """1/R through R's valid order; R_0 must be 1.
@@ -99,7 +91,7 @@ class TruncatedSeries:
                 total -= w * u[n - i] << s
             u.append(total)
             out.append(Fraction(total, c**n))
-        return TruncatedSeries(out, self.valid_order)
+        return TruncatedSeries(out)
 
 
 def _twos(x: int) -> int:

@@ -107,7 +107,7 @@ def riesz_walk_matrix(dim: int) -> BandedUnitary:
     """CMV operator of the Riesz measure, exact coefficients rounded once."""
     from . import ansatz
 
-    return build_cmv([ansatz.alpha(j) for j in range(dim)], dim)
+    return build_cmv([ansatz.alpha(j) for j in range(dim)])
 
 
 class WalkState(NamedTuple):

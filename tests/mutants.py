@@ -314,19 +314,21 @@ MUTANTS = (
         ("tests/test_schur.py::test_extract_agrees_with_stepping_on_positive_densities",),
     ),
     Mutant(
+        # Step n reads f's order n, not n - 1.
         "first-return-offset-dropped",
         SCHUR,
-        "f.coefficient(n - 1) for n in",
-        "f.coefficient(n) for n in",
+        "FirstReturnSeries(f.coefficients)",
+        "FirstReturnSeries(f.coefficients[1:])",
         (
             "tests/test_schur.py::test_renewal_agrees_with_schur_route",
+            "tests/test_schur.py::test_first_return_values",
             "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
             "tests/test_acceptance.py::test_criterion_07_first_return_oracle_triangle",
         ),
     ),
-    # The Schur-Taylor = renewal tests share TruncatedSeries.reciprocal on
-    # both sides, so only a test against the ``divide`` or ``reciprocal``
-    # oracle can see a reciprocal mutant.
+    # The Schur-Taylor = renewal gates take their renewal side from the
+    # oracle's long-division ``reciprocal``, so they see a reciprocal mutant
+    # that reaches the Riesz series, beside the tests against ``divide``.
     Mutant(
         # U_n loses its W_n U_0 term.
         "series-division-drops-last-term",
@@ -338,6 +340,9 @@ MUTANTS = (
             "tests/test_series.py::test_kernel_matches_oracle_on_riesz_series",
             "tests/test_series.py::test_kernel_matches_divide_on_the_schur_start_through_order_1001",
             "tests/test_series.py::test_kernel_matches_divide_on_the_renewal_inverse_through_order_1000",
+            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
+            "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
+            "tests/test_acceptance.py::test_criterion_07_first_return_oracle_triangle",
         ),
     ),
     Mutant(
@@ -350,6 +355,9 @@ MUTANTS = (
             "tests/test_series.py::test_kernel_matches_oracle_on_riesz_series",
             "tests/test_series.py::test_kernel_matches_divide_on_the_schur_start_through_order_1001",
             "tests/test_series.py::test_kernel_matches_divide_on_the_renewal_inverse_through_order_1000",
+            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
+            "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
+            "tests/test_acceptance.py::test_criterion_07_first_return_oracle_triangle",
         ),
     ),
     Mutant(
@@ -375,6 +383,9 @@ MUTANTS = (
             "tests/test_series.py::test_reciprocal_general_scale",
             "tests/test_series.py::test_kernel_matches_divide_on_the_schur_start_through_order_1001",
             "tests/test_series.py::test_kernel_matches_divide_on_the_renewal_inverse_through_order_1000",
+            "tests/test_schur.py::test_renewal_agrees_with_schur_route",
+            "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
+            "tests/test_acceptance.py::test_criterion_07_first_return_oracle_triangle",
         ),
     ),
     Mutant(
@@ -419,6 +430,19 @@ MUTANTS = (
             "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
             "tests/test_cli.py::test_first_return_exact_matches_the_mu_series_route",
             "tests/test_cli.py::test_first_return_exact",
+            "tests/test_readme.py::test_readme_commands_run",
+        ),
+    ),
+    Mutant(
+        # NU's series stops one order short, so the Schur function gives one
+        # amplitude fewer than the steps 4, 8, ... it fills.
+        "cli-first-return-series-one-order-short",
+        CLI,
+        "caratheodory_series(max_n // 4, MeasureVariant.NU)",
+        "caratheodory_series(max_n // 4 - 1, MeasureVariant.NU)",
+        (
+            "tests/test_cli.py::test_first_return_exact_is_the_renewal_inversion",
+            "tests/test_cli.py::test_first_return_exact_matches_the_mu_series_route",
             "tests/test_readme.py::test_readme_commands_run",
         ),
     ),
@@ -510,6 +534,15 @@ MUTANTS = (
         "4 * four_p - 1",
         "4 * four_p + 1",
         ("tests/test_acceptance.py::test_criterion_05_ansatz_verification_512",),
+    ),
+    Mutant(
+        # Wrong only past m = 6000, where the Schur gates stop, and only in
+        # the class n = 0 mod 4, which the limit-law checks (n = 1) skip.
+        "ansatz-wrong-past-6000",
+        ANSATZ,
+        "backbone_constant(s) * four_p)",
+        "backbone_constant(s) * four_p + (m > 6000))",
+        ("tests/test_acceptance.py::test_closed_form_is_the_christoffel_route_through_20000",),
     ),
 )
 

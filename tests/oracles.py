@@ -10,8 +10,16 @@ exists to check a production route by a second, unrelated one:
   non-zero Verblunsky parameters, against ``ansatz.alpha``;
 * ``traditional_walk_test``: the paper's ``F(-z) F(z) = 1`` test for walks
   without self-transitions;
+* ``poly``: a ``TruncatedSeries`` from the leading coefficients of a
+  polynomial, padded with exact zeros (or cut) to a given valid order;
 * ``mul`` and ``reciprocal``: the term-by-term Fraction product and
   reciprocal, against the scaled integer ``TruncatedSeries.reciprocal``;
+* ``renewal_amplitudes``: first returns as 1 - 1/r(z) of a moment series
+  r, through ``reciprocal``, against ``schur.first_return_series`` and
+  ``schur.renewal_first_return``;
+* ``christoffel_nu``: NU's Verblunsky parameters from MU's by a
+  Christoffel transform at z = -1, seeded by its own output, against
+  ``ansatz.nonzero_alpha`` far past the reach of the Schur loop;
 * ``divide``: the quotient of two series by long division over each
   order's least common denominator, against ``TruncatedSeries.reciprocal``
   and ``schur.schur_from_caratheodory``; it takes any invertible constant
@@ -110,6 +118,15 @@ def signed_quartic_digits(
     return tuple(digits)
 
 
+def poly(coeffs: Iterable[CoefficientLike], order: int) -> TruncatedSeries:
+    """The polynomial with these leading coefficients, trusted through ``order``.
+
+    Missing coefficients up to ``order`` are exact zeros; any past it are cut.
+    """
+    coeffs = list(coeffs)[: order + 1]
+    return TruncatedSeries(coeffs + [0] * (order + 1 - len(coeffs)))
+
+
 def mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product through the common valid order, one Fraction op per term."""
     order = min(x.valid_order, y.valid_order)
@@ -123,7 +140,7 @@ def mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
             bj = b[j]
             if bj:
                 out[i + j] += ai * bj
-    return TruncatedSeries(out, order)
+    return TruncatedSeries(out)
 
 
 def reciprocal(x: TruncatedSeries) -> TruncatedSeries:
@@ -138,7 +155,43 @@ def reciprocal(x: TruncatedSeries) -> TruncatedSeries:
             if ai:
                 acc += ai * out[n - i]
         out.append(-inv0 * acc)
-    return TruncatedSeries(out, x.valid_order)
+    return TruncatedSeries(out)
+
+
+def renewal_amplitudes(moments: Sequence[CoefficientLike]) -> list[Fraction]:
+    """First-return amplitudes of steps 1..len(moments) - 1, as 1 - 1/r(z).
+
+    r(z) = sum_n moments[n] z^n, with moments[0] = 1; the reciprocal is the
+    long-division ``reciprocal`` above, not ``TruncatedSeries.reciprocal``.
+    """
+    return [-c for c in reciprocal(TruncatedSeries(moments)).coefficients[1:]]
+
+
+def christoffel_nu(count: int) -> list[Fraction]:
+    """NU's Verblunsky parameters alpha_0 .. alpha_(count - 1), from MU's.
+
+    NU(theta) = (1 + cos theta) MU(theta), so NU is MU times |1 + z|^2 / 2,
+    a Christoffel transform at z = -1, and MU's parameters are NU's moved
+    out: a_(4j+3) = alpha_j(NU), zero off 3 mod 4.  With Phi_k MU's monic
+    orthogonal polynomials (all real), P_k = Phi_k(-1), N_k = ||Phi_k||^2,
+    A_k = sum_(j<=k) Phi_j(0) P_j / N_j and B_k = sum_(j<=k) P_j^2 / N_j,
+    the Szego recursion and the Christoffel-Darboux kernel (B. Simon, OPUC,
+    part 1) give P_(k+1) = -P_k (1 + (-1)^k a_k), N_(k+1) = N_k (1 - a_k^2),
+    Phi_(k+1)(0) = -a_k and alpha_(k-1)(NU) = a_k + P_(k+1) A_k / B_k.
+    a_k reads alpha_((k-3)/4)(NU), made at an earlier step, so the route
+    seeds itself; it reads no moments and no series.
+    """
+    nu: list[Fraction] = []
+    P = N = A = B = Fraction(1)  # at k = 0
+    for k in range(count + 1):
+        a = nu[k // 4] if k % 4 == 3 else 0
+        P = -P * (1 + a if k % 2 == 0 else 1 - a)  # P_(k+1)
+        if k:
+            nu.append(a + P * A / B)
+        N *= 1 - a * a
+        A -= a * P / N
+        B += P * P / N
+    return nu
 
 
 def _nonzero_terms(coeffs: Sequence[Fraction]) -> list[tuple[int, int, int]]:
@@ -190,20 +243,20 @@ def divide(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
         out.append(c)
         nums.append(c.numerator)
         dens.append(c.denominator)
-    return TruncatedSeries(out, order)
+    return TruncatedSeries(out)
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Sum through the common valid order (the min rule)."""
     order = min(a.valid_order, b.valid_order)
     x, y = a.coefficients, b.coefficients
-    return TruncatedSeries([x[k] + y[k] for k in range(order + 1)], order)
+    return TruncatedSeries([x[k] + y[k] for k in range(order + 1)])
 
 
 def scale(a: TruncatedSeries, factor: CoefficientLike) -> TruncatedSeries:
     """``factor`` times ``a``; the valid order is unchanged."""
     f = Fraction(factor)
-    return TruncatedSeries([f * c for c in a.coefficients], a.valid_order)
+    return TruncatedSeries([f * c for c in a.coefficients])
 
 
 def substitute_quartic(a: TruncatedSeries) -> TruncatedSeries:
@@ -216,7 +269,7 @@ def substitute_quartic(a: TruncatedSeries) -> TruncatedSeries:
     out = [Fraction(0)] * (order + 1)
     for k, c in enumerate(a.coefficients):
         out[4 * k] = c
-    return TruncatedSeries(out, order)
+    return TruncatedSeries(out)
 
 
 # -- the backbone's progressions --------------------------------------------------
@@ -272,9 +325,9 @@ def traditional_walk_test(F_coeffs: Sequence, tol: float = 1e-10) -> bool:
         raise ValueError("need at least the constant coefficient")
     n = len(coeffs)
     if all(isinstance(c, (Fraction, int)) for c in coeffs):
-        F = TruncatedSeries(coeffs, n - 1)
-        F_minus = TruncatedSeries([(-1) ** i * c for i, c in enumerate(coeffs)], n - 1)
-        return mul(F_minus, F) == TruncatedSeries([1], n - 1)
+        F = TruncatedSeries(coeffs)
+        F_minus = TruncatedSeries([(-1) ** i * c for i, c in enumerate(coeffs)])
+        return mul(F_minus, F) == poly([1], n - 1)
     c = np.asarray(coeffs, dtype=complex)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     prod = np.convolve(signs * c, c)[:n]
@@ -331,13 +384,12 @@ def disk_point_by_fraction(value: AlphaLike) -> tuple[complex, float]:
     return z, math.sqrt(1.0 - mag2)
 
 
-def build_cmv_by_entry(alphas: Sequence[AlphaLike], dim: int) -> BandedUnitary:
+def build_cmv_by_entry(alphas: Sequence[AlphaLike]) -> BandedUnitary:
     """``cmv.build_cmv`` one entry at a time, conjugating with numpy scalars."""
+    dim = len(alphas)
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if len(alphas) < dim:
-        raise ValueError(f"need at least {dim} coefficients, got {len(alphas)}")
-    a, r = zip((-1.0 + 0j, 0.0), *map(disk_point_by_fraction, alphas[:dim]), (0j, 1.0))
+    a, r = zip((-1.0 + 0j, 0.0), *map(disk_point_by_fraction, alphas), (0j, 1.0))
 
     def entries() -> Iterator[Entry]:
         for row in range(dim):

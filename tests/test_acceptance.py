@@ -19,7 +19,9 @@ from expected_values import (
 )
 from oracles import (
     alpha_from_offsets,
+    christoffel_nu,
     progression_contains,
+    renewal_amplitudes,
     spectral_moments,
     traditional_walk_test,
 )
@@ -29,7 +31,6 @@ from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import (
     extract_verblunsky,
     first_return_series,
-    renewal_first_return,
     schur_from_caratheodory,
 )
 
@@ -123,10 +124,10 @@ def test_criterion_06_offset_formula_coherence():
 
 def test_criterion_07_first_return_oracle_triangle():
     with criterion(7, "three first-return routes agree through step 200", budget=60.0):
-        f = schur_from_caratheodory(caratheodory_series(201, MU))
-        via_schur = first_return_series(f, 200)
-        via_renewal = renewal_first_return([moment(j) for j in range(201)], 200)
-        assert via_schur.amplitudes == via_renewal.amplitudes
+        f = schur_from_caratheodory(caratheodory_series(200, MU))
+        via_schur = first_return_series(f)
+        via_renewal = renewal_amplitudes([moment(j) for j in range(201)])
+        assert list(via_schur.amplitudes) == via_renewal
         numeric = walk.first_return_numeric(walk.riesz_walk_matrix(408), 200)
         for n in range(1, 201):
             assert abs(numeric[n - 1] - float(via_schur.amplitudes[n - 1])) <= 1e-8
@@ -138,7 +139,7 @@ def test_criterion_08_unitarity_and_conservation():
         hadamard = walk.coined_walk_matrix(walk.HADAMARD_COIN, 1608)
         assert unitarity_defect(riesz) <= 1e-12
         assert unitarity_defect(hadamard) <= 1e-12
-        assert unitarity_defect(build_cmv(walk.hadamard_alpha(1608), 1608)) <= 1e-12
+        assert unitarity_defect(build_cmv(walk.hadamard_alpha(1608))) <= 1e-12
         for matrix in (riesz, hadamard):
             state = walk.evolve(matrix, walk.WalkState.origin_up(1608), 800)
             dist = walk.position_distribution(state)
@@ -198,3 +199,14 @@ def test_criterion_11_hadamard_evenness():
 
 def test_extended_ansatz_verification_6000():
     assert_closed_form_is_schur(6000)
+
+
+def test_closed_form_is_the_christoffel_route_through_20000():
+    # The Christoffel route reads no moments and no series, so it carries
+    # closed form = exact Verblunsky data past the Schur loop's reach.
+    route = christoffel_nu(20000)
+    assert route[:512] == extract_verblunsky(caratheodory_series(513, NU), 512)
+    closed = [ansatz.nonzero_alpha(m) for m in range(1, 20001)]
+    assert len(route) == len(closed)
+    mismatch = next((m for m, (a, c) in enumerate(zip(closed, route), 1) if a != c), None)
+    assert mismatch is None, f"first mismatch at m = {mismatch}"

@@ -6,18 +6,16 @@ import subprocess
 import sys
 from argparse import Namespace
 from fractions import Fraction as F
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 import rieszwalk
+from oracles import renewal_amplitudes
 from rieszwalk.cli import main, write_table
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
-from rieszwalk.schur import (
-    first_return_series,
-    renewal_first_return,
-    schur_from_caratheodory,
-)
+from rieszwalk.schur import first_return_series, schur_from_caratheodory
 
 HADAMARD_LINE = "0.7071067811865476,0 0.7071067811865476,0 0.7071067811865476,0 -0.7071067811865476,0\n"
 
@@ -267,18 +265,19 @@ def exact_first_return(capsys, max_n):
 
 def test_first_return_exact_is_the_renewal_inversion(capsys):
     # Schur-Taylor = renewal on the route the command runs: NU's Schur
-    # function spread to every fourth step, against 1 - 1/r(z) of MU's moments.
+    # function spread to every fourth step, against 1 - 1/r(z) of MU's
+    # moments by the oracle's long division.
     amplitudes, cumulative = exact_first_return(capsys, 1001)
-    renewal = renewal_first_return([moment(j, MeasureVariant.MU) for j in range(1002)], 1001)
-    assert amplitudes == list(renewal.amplitudes)
-    assert cumulative == list(renewal.cumulative)
+    renewal = renewal_amplitudes([moment(j, MeasureVariant.MU) for j in range(1002)])
+    assert amplitudes == renewal
+    assert cumulative == list(accumulate(a * a for a in renewal))
 
 
 @pytest.mark.parametrize("max_n", range(10))
 def test_first_return_exact_matches_the_mu_series_route(capsys, max_n):
     amplitudes, cumulative = exact_first_return(capsys, max_n)
-    F_mu = caratheodory_series(max_n + 1, MeasureVariant.MU)
-    series = first_return_series(schur_from_caratheodory(F_mu), max_n)
+    F_mu = caratheodory_series(max_n, MeasureVariant.MU)
+    series = first_return_series(schur_from_caratheodory(F_mu))
     assert amplitudes == list(series.amplitudes)
     assert cumulative == list(series.cumulative)
 
@@ -327,7 +326,7 @@ def test_cmv_hadamard_dumps_the_cmv_operator(capsys):
     code, out, _ = run(capsys, "cmv", "--coin", "hadamard", "--dim", "6")
     _, rows = rows_of(out)
     assert code == 0
-    assert rows == as_rows(build_cmv(hadamard_alpha(6), 6))
+    assert rows == as_rows(build_cmv(hadamard_alpha(6)))
     assert rows != as_rows(coined_walk_matrix(HADAMARD_COIN, 6))
 
 

@@ -60,7 +60,7 @@ heads = st.lists(st.one_of(st.just(0j), amplitude), min_size=1, max_size=10)
 @property_settings
 @given(st.lists(in_disk, min_size=2, max_size=40))
 def test_from_entries_inverts_nonzero_entries(alphas):
-    m = build_cmv(alphas, len(alphas))
+    m = build_cmv(alphas)
     again = from_entries(m.dimension, m.nonzero_entries())
     assert again.dimension == m.dimension
     assert np.array_equal(again.bands, m.bands)
@@ -69,7 +69,7 @@ def test_from_entries_inverts_nonzero_entries(alphas):
 @property_settings
 @given(st.lists(in_disk, min_size=5, max_size=60))
 def test_build_cmv_is_unitary_in_the_interior(alphas):
-    assert unitarity_defect(build_cmv(alphas, len(alphas))) <= 1e-12
+    assert unitarity_defect(build_cmv(alphas)) <= 1e-12
 
 
 @property_settings
@@ -83,7 +83,7 @@ def test_evolve_conserves_norm(data):
     v = np.zeros(dim, dtype=complex)
     v[: len(head)] = head
     v /= np.linalg.norm(v)
-    out = evolve(build_cmv(alphas, dim), WalkState(v), steps)
+    out = evolve(build_cmv(alphas), WalkState(v), steps)
     assert abs(out.norm() - 1) <= 1e-12
 
 
@@ -140,7 +140,7 @@ def test_cmv_trajectory_matches_full_length_stepping_bitwise(data):
     head = data.draw(heads)
     dim = max(2 * steps + 8, len(head) + 2 * steps + 2)
     alphas = data.draw(alpha_lists(dim, dim))
-    assert steps_bitwise_like_full_length(build_cmv(alphas, dim), head, steps)
+    assert steps_bitwise_like_full_length(build_cmv(alphas), head, steps)
 
 
 @property_settings
@@ -158,7 +158,7 @@ def test_coined_trajectory_matches_full_length_stepping_bitwise(data):
 @property_settings
 @given(st.lists(in_disk, min_size=3, max_size=50), st.data())
 def test_spectral_moments_prefix(alphas, data):
-    m = build_cmv(alphas, len(alphas))
+    m = build_cmv(alphas)
     n = data.draw(st.integers(0, (m.dimension - 3) // 2))
     k = data.draw(st.integers(0, n))
     assert np.array_equal(spectral_moments(m, n)[: k + 1], spectral_moments(m, k))
@@ -185,7 +185,7 @@ def killed_cmv_walks(draw) -> tuple[list[complex], int]:
 @example(([0.5, 0.25j, -0.5, 0.3 + 0.2j, -0.1j, 0.4, 0.2 - 0.3j, -0.6, 0.1, 0.35j], 3))
 def test_cmv_first_return_is_the_killed_walk(walk):
     alphas, max_n = walk
-    killed_walk_checks(build_cmv(alphas, len(alphas)), max_n)
+    killed_walk_checks(build_cmv(alphas), max_n)
 
 
 @property_settings
@@ -224,11 +224,11 @@ def test_evolve_guard_matches_scanning_rule(steps, support, data):
     alphas = (radii * np.exp(2j * np.pi * rng.random(wide_dim))).tolist()
     start = np.zeros(wide_dim, dtype=complex)
     start[list(support)] = 1.0
-    wide, wide_states = build_cmv(alphas, wide_dim), [start]
+    wide, wide_states = build_cmv(alphas), [start]
     for _ in range(steps):
         wide_states.append(apply_full_length(wide_states[-1], wide))
     for dim in range(max(high + 1, 2), wide_dim + 1):
-        M = build_cmv(alphas, dim)
+        M = build_cmv(alphas[:dim])
         try:
             evolve(M, WalkState(start[:dim]), steps)
             raised = False

@@ -11,7 +11,7 @@ from expected_values import (
     NONZERO_PARAMS_36,
     SCHUR_F,
 )
-from oracles import add, divide, scale, substitute_quartic
+from oracles import add, divide, poly, renewal_amplitudes, scale, substitute_quartic
 from rieszwalk import schur
 from rieszwalk.riesz import MeasureVariant, caratheodory_series, moment
 from rieszwalk.schur import (
@@ -56,8 +56,8 @@ def schur_step(state: SchurState) -> SchurState:
     if abs(alpha) >= 1:
         raise ValueError(f"|alpha_{state.step}| = |{alpha}| >= 1")
     # (f - alpha) / z drops f's constant term, and with it one order.
-    numerator = TruncatedSeries(f.coefficients[1:], f.valid_order - 1)
-    denominator = add(TruncatedSeries([1], f.valid_order), scale(f, -alpha))
+    numerator = TruncatedSeries(f.coefficients[1:])
+    denominator = add(poly([1], f.valid_order), scale(f, -alpha))
     nxt = divide(numerator, denominator)
     return SchurState(nxt, state.step + 1, state.extracted + (alpha,))
 
@@ -86,7 +86,7 @@ def test_caratheodory_matches_known_expansion():
 
 
 def test_schur_of_trivial_measure_is_zero():
-    f = schur_from_caratheodory(TruncatedSeries([1], 10))
+    f = schur_from_caratheodory(poly([1], 10))
     assert f.valid_order == 9
     assert all(c == 0 for c in f.coefficients)
 
@@ -94,7 +94,7 @@ def test_schur_of_trivial_measure_is_zero():
 def test_schur_of_point_mass_is_unimodular_constant():
     # F = (1+z)/(1-z) has coefficients 1, 2, 2, ...; its Schur function is
     # identically 1, which the first extraction step must reject.
-    F_series = TruncatedSeries([1] + [2] * 10, 10)
+    F_series = TruncatedSeries([1] + [2] * 10)
     f = schur_from_caratheodory(F_series)
     assert f.coefficient(0) == 1
     assert all(f.coefficient(k) == 0 for k in range(1, 10))
@@ -110,16 +110,16 @@ def test_schur_requires_unit_constant():
     message = "^Caratheodory series must have constant term 1$"
     for constant in (2, 0, -1, F(1, 2)):
         with pytest.raises(ValueError, match=message):
-            schur_from_caratheodory(TruncatedSeries([constant, 1], 5))
+            schur_from_caratheodory(poly([constant, 1], 5))
         with pytest.raises(ValueError, match=message):
-            extract_verblunsky(TruncatedSeries([constant, 1], 5), 3)
+            extract_verblunsky(poly([constant, 1], 5), 3)
     with pytest.raises(ValueError, match=message):
-        schur_from_caratheodory(TruncatedSeries([], -1))
+        schur_from_caratheodory(TruncatedSeries([]))
 
 
 def test_schur_of_constant_term_alone_is_empty():
     # f's order k reads F's order k + 1, so no order of f is trusted.
-    assert schur_from_caratheodory(TruncatedSeries([1], 0)) == TruncatedSeries([], -1)
+    assert schur_from_caratheodory(TruncatedSeries([1])) == TruncatedSeries([])
 
 
 def test_first_step_dense_variant():
@@ -135,7 +135,7 @@ def test_first_step_sparse_variant():
 
 
 def test_steps_on_zero_series():
-    state = run_steps(TruncatedSeries([], 8), 5)
+    state = run_steps(poly([], 8), 5)
     assert state.extracted == (F(0),) * 5
     assert state.step == 5
 
@@ -147,7 +147,7 @@ def test_step_precision_ledger():
 
 
 def test_step_exhausts_precision():
-    state = SchurState(TruncatedSeries([], 0))
+    state = SchurState(poly([], 0))
     with pytest.raises(ValueError, match="valid_order 0 at step 0: cannot step again"):
         schur_step(state)
 
@@ -192,13 +192,13 @@ def positive_trigonometric_measures(draw):
     """
     numerators = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
     denominator = sum(map(abs, numerators)) + draw(st.integers(1, 30))
-    return TruncatedSeries([1] + [F(a, denominator) for a in numerators], 41)
+    return poly([1] + [F(a, denominator) for a in numerators], 41)
 
 
 @settings(deadline=None, max_examples=15)
 @given(positive_trigonometric_measures(), st.sampled_from((1, 3, 16)))
 # A density whose second product needs the top byte of its slots.
-@example(TruncatedSeries([1, 0, F(6, 46), F(2, 46), F(9, 46)], 41), 16)
+@example(poly([1, 0, F(6, 46), F(2, 46), F(9, 46)], 41), 16)
 def test_extract_agrees_with_stepping_on_positive_densities(G, block):
     # The stepper cannot afford two blocks of the real size on these
     # densities, so the blocks shrink: 40 steps in blocks of 16 are two full
@@ -223,7 +223,7 @@ def test_pack_round_trips_at_the_slot_extremes():
 def test_extract_rejects_finite_support_past_a_content_strip():
     # The uniform measure on the 20th roots of unity has 20 support points,
     # so alpha_0..alpha_18 lie in the disk and alpha_19 on its boundary.
-    roots = TruncatedSeries([1] + [2 if j % 20 == 0 else 0 for j in range(1, 31)], 30)
+    roots = TruncatedSeries([1] + [2 if j % 20 == 0 else 0 for j in range(1, 31)])
     inside = extract_verblunsky(roots, 19)
     assert all(abs(a) < 1 for a in inside)
     with pytest.raises(ValueError, match=r"^\|alpha_19\| >= 1$"):
@@ -236,8 +236,7 @@ def test_extract_rejects_finite_support_past_a_block(support):
     # before alpha_(support-1) is zero, and that one lies on the boundary.
     # With _BLOCK + 16 roots it comes after the first product.
     roots = TruncatedSeries(
-        [1] + [2 if j % support == 0 else 0 for j in range(1, support + 12)],
-        support + 11,
+        [1] + [2 if j % support == 0 else 0 for j in range(1, support + 12)]
     )
     assert extract_verblunsky(roots, support - 1) == [F(0)] * (support - 1)
     with pytest.raises(ValueError, match=rf"^\|alpha_{support - 1}\| >= 1$"):
@@ -279,7 +278,7 @@ def test_interleaving_composition_law():
 
 
 def test_even_schur_function_has_zero_odd_parameters():
-    state = run_steps(TruncatedSeries([0, 0, F(1, 2)], 12), 8)
+    state = run_steps(poly([0, 0, F(1, 2)], 12), 8)
     assert all(a == 0 for a in state.extracted[1::2])
 
 
@@ -293,17 +292,12 @@ def test_riesz_parameters_live_on_residue_three():
 
 
 def test_first_return_values():
-    f = riesz_schur_function(30)
-    series = first_return_series(f, 28)
+    # f trusted through order 27 gives steps 1..28.
+    series = first_return_series(riesz_schur_function(27))
+    assert len(series.amplitudes) == 28
     assert series.amplitudes[:4] == (F(0), F(0), F(0), F(1, 2))
     assert series.amplitudes[27] == F(-17, 128)
-
-
-def test_first_return_needs_orders():
-    f = riesz_schur_function(10)
-    with pytest.raises(ValueError, match="step 12 needs order 11, valid through 10"):
-        first_return_series(f, 12)
-    assert len(first_return_series(f, 0).amplitudes) == 0
+    assert first_return_series(TruncatedSeries([])).amplitudes == ()
 
 
 def test_renewal_examples():
@@ -325,16 +319,16 @@ def test_renewal_input_validation():
 
 def test_renewal_agrees_with_schur_route():
     # Two independent paths to the same amplitudes: Taylor coefficients of
-    # the Schur function vs inversion of the moment generating series.
-    f = riesz_schur_function(200)
-    via_schur = first_return_series(f, 200)
-    via_renewal = renewal_first_return([moment(j) for j in range(201)], 200)
-    assert via_schur.amplitudes == via_renewal.amplitudes
+    # the Schur function, through TruncatedSeries.reciprocal, vs the test
+    # oracle's long-division inversion of the moment generating series.
+    moments = [moment(j) for j in range(201)]
+    via_schur = first_return_series(riesz_schur_function(199))
+    assert list(via_schur.amplitudes) == renewal_amplitudes(moments)
+    assert renewal_first_return(moments, 200).amplitudes == via_schur.amplitudes
 
 
 def test_cumulative_return_probability():
-    f = riesz_schur_function(200)
-    series = first_return_series(f, 200)
+    series = first_return_series(riesz_schur_function(199))
     sums = cumulative_return_probability(series)
     assert sums[3] == F(1, 4)
     assert sums[7] == F(5, 16)

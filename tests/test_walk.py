@@ -204,7 +204,7 @@ def test_hadamard_alpha_conjugation_oracle():
     # phase-equivalent to the coined matrix, entry for entry.
     dim = 64
     U = coined_walk_matrix(HADAMARD_COIN, dim)
-    C = build_cmv(hadamard_alpha(dim), dim)
+    C = build_cmv(hadamard_alpha(dim))
     d = solve_diagonal_conjugation(U, C)
     assert d is not None
     known = ~np.isnan(d.real)
@@ -214,7 +214,7 @@ def test_hadamard_alpha_conjugation_oracle():
 def test_hadamard_alpha_entry_magnitudes():
     dim = 32
     U = coined_walk_matrix(HADAMARD_COIN, dim)
-    C = build_cmv(hadamard_alpha(dim), dim)
+    C = build_cmv(hadamard_alpha(dim))
     u_pattern = {(r, c): abs(v) for r, c, v in U.nonzero_entries()}
     c_pattern = {(r, c): abs(v) for r, c, v in C.nonzero_entries()}
     assert u_pattern.keys() == c_pattern.keys()
@@ -224,7 +224,7 @@ def test_hadamard_alpha_entry_magnitudes():
 
 def test_hadamard_spectral_moments_agree():
     coined = coined_walk_matrix(HADAMARD_COIN, 108)
-    cmv = build_cmv(hadamard_alpha(108), 108)
+    cmv = build_cmv(hadamard_alpha(108))
     gaps = np.abs(spectral_moments(coined, 50) - spectral_moments(cmv, 50))
     assert np.max(gaps) <= 1e-10
 
@@ -233,7 +233,7 @@ def test_constant_sign_alpha_does_not_match_the_walk():
     # A constant-sign sequence of the same magnitude describes a rotated
     # measure with different odd moments; the alternation is load-bearing.
     coined = coined_walk_matrix(HADAMARD_COIN, 28)
-    const = build_cmv([R if j % 2 == 0 else 0.0 for j in range(28)], 28)
+    const = build_cmv([R if j % 2 == 0 else 0.0 for j in range(28)])
     assert abs(spectral_moments(coined, 3)[3] - spectral_moments(const, 3)[3]) > 0.5
 
 
@@ -369,7 +369,7 @@ def light_cone_operator(walk: str, dim: int):
         return coined_walk_matrix(HADAMARD_COIN, max(dim, 4))  # the builder's floor
     rng = np.random.default_rng(8)
     alphas = rng.uniform(-0.5, 0.5, 200) + 1j * rng.uniform(-0.5, 0.5, 200)
-    return build_cmv(alphas.tolist(), dim)
+    return build_cmv(alphas[:dim].tolist())
 
 
 @pytest.mark.parametrize("walk", ["riesz", "hadamard", "complex"])
@@ -520,7 +520,7 @@ def test_hadamard_first_return_matches_closed_form(operator):
     if operator == "coined":
         m = coined_walk_matrix(HADAMARD_COIN, dim)
     else:
-        m = build_cmv(hadamard_alpha(dim), dim)
+        m = build_cmv(hadamard_alpha(dim))
     assert np.max(np.abs(first_return_numeric(m, n) - hadamard_first_return(n))) <= 1e-15
 
 
@@ -545,7 +545,7 @@ def test_constant_coin_matches_matrix_route():
     # Same measure, two unrelated computations: series square root of the
     # closed form vs renewal inversion of matrix powers.
     coeffs = constant_coin_schur_coeffs(R, 100)
-    matrix = build_cmv([R if j % 2 == 0 else 0.0 for j in range(210)], 210)
+    matrix = build_cmv([R if j % 2 == 0 else 0.0 for j in range(210)])
     amps = first_return_numeric(matrix, 101)
     for n in range(1, 102):
         assert abs(amps[n - 1] - coeffs[n - 1]) <= 1e-8
